@@ -1,5 +1,7 @@
 #include "client/multi_client.hpp"
 
+#include <signal.h>
+
 #include <algorithm>
 
 #include "debugger/protocol.hpp"
@@ -12,6 +14,10 @@ namespace dionea::client {
 namespace proto = dbg::proto;
 
 namespace {
+// Between port-file polls: a poll that finds nothing new costs an
+// open, fstat and close.
+constexpr int kPollSliceMillis = 1;
+
 DebugEvent make_gone_event(int pid, bool clean_exit, int exit_code,
                            int term_signal) {
   DebugEvent event;
@@ -27,26 +33,36 @@ DebugEvent make_gone_event(int pid, bool clean_exit, int exit_code,
 }  // namespace
 
 Result<int> MultiClient::refresh(int timeout_millis) {
-  DIONEA_ASSIGN_OR_RETURN(std::vector<ipc::PortRecord> records,
-                          port_file_.read_new(records_seen_));
+  DIONEA_ASSIGN_OR_RETURN(std::vector<ipc::PortRecord> fresh,
+                          port_file_.tail(&tail_offset_));
+  for (const ipc::PortRecord& record : fresh) {
+    // A newer record for a pid supersedes a pending one (re-bind).
+    std::erase_if(pending_, [&](const ipc::PortRecord& old) {
+      return old.pid == record.pid;
+    });
+    pending_.push_back(record);
+  }
   int attached = 0;
-  for (const ipc::PortRecord& record : records) {
-    ++records_seen_;
+  std::vector<ipc::PortRecord> retry;
+  for (const ipc::PortRecord& record : pending_) {
     if (sessions_.count(record.pid) > 0) {
       // Re-published port (double fork re-binds): replace the session.
       sessions_.erase(record.pid);
     }
     auto session = Session::attach(record.port, timeout_millis);
     if (!session.is_ok()) {
-      // The process may have exited before we attached; skip it.
+      // Retry on the next refresh while the process lives; drop the
+      // record once it has exited.
       DLOG_DEBUG("client") << "could not attach pid " << record.pid << ": "
                            << session.error().to_string();
+      if (::kill(record.pid, 0) == 0) retry.push_back(record);
       continue;
     }
     sessions_[record.pid] = std::move(session).value();
     unclaimed_.push_back(record.pid);
     ++attached;
   }
+  pending_ = std::move(retry);
   return attached;
 }
 
@@ -72,7 +88,7 @@ Result<Session*> MultiClient::await_process(int pid, int timeout_millis) {
       return Error(ErrorCode::kTimeout,
                    "no session for pid " + std::to_string(pid));
     }
-    sleep_for_millis(10);
+    sleep_for_millis(kPollSliceMillis);
   }
 }
 
@@ -92,7 +108,7 @@ Result<Session*> MultiClient::await_new_process(int timeout_millis) {
       if (watch.elapsed_seconds() * 1000.0 > timeout_millis) {
         return Error(ErrorCode::kTimeout, "no new process appeared");
       }
-      sleep_for_millis(10);
+      sleep_for_millis(kPollSliceMillis);
     }
   }
 }
@@ -233,8 +249,8 @@ Result<Session*> MultiClient::reconnect(int pid,
       delay = std::min(delay * policy.multiplier,
                        static_cast<double>(policy.max_delay_millis));
     }
-    // Re-tail the whole port file: the restarted server re-published,
-    // and its newest record for this pid is the live one.
+    // Read the whole port file: the restarted server re-published, and
+    // its newest record for this pid is the live one.
     auto records = port_file_.read_all();
     if (!records.is_ok()) {
       last = records.error();
@@ -270,8 +286,15 @@ Result<Session*> MultiClient::reconnect(int pid,
     Session* raw = session.get();
     sessions_[pid] = std::move(session);
     // The re-published record is now adopted; don't let the next
-    // refresh() re-attach it and clobber this session.
-    records_seen_ = records.value().size();
+    // refresh() re-attach it and clobber this session. Other pids'
+    // unread records stay pending for refresh().
+    if (auto unread = port_file_.tail(&tail_offset_); unread.is_ok()) {
+      pending_.insert(pending_.end(), unread.value().begin(),
+                      unread.value().end());
+    }
+    std::erase_if(pending_, [pid](const ipc::PortRecord& record) {
+      return record.pid == pid;
+    });
     reported_dead_.erase(pid);
     crash_reports_.erase(pid);  // the corpse belonged to the predecessor
     return raw;

@@ -48,8 +48,10 @@ class MultiClient {
       : port_file_(std::move(port_file_path)) {}
 
   // Attach sessions for every port record not seen yet. Returns the
-  // number of new sessions. Sessions whose process has exited are
-  // dropped silently (their record may outlive them).
+  // number of new sessions. A record whose attach fails stays pending
+  // and is retried on the next refresh while its process lives; once
+  // the process has exited the record is dropped silently (it may
+  // outlive its process).
   Result<int> refresh(int timeout_millis);
 
   // Block until a session to `pid` exists (adopting new port records
@@ -118,7 +120,10 @@ class MultiClient {
 
  private:
   ipc::PortFile port_file_;
-  size_t records_seen_ = 0;
+  std::uint64_t tail_offset_ = 0;  // port-file bytes already read
+  // Records read but not attached yet: the attach failed while the
+  // process was still alive, so refresh() tries again.
+  std::vector<ipc::PortRecord> pending_;
   std::map<int, std::unique_ptr<Session>> sessions_;
   std::deque<int> unclaimed_;  // adopted but not yet returned by
                                // await_new_process

@@ -6,6 +6,7 @@
 
 #include <cerrno>
 
+#include "ipc/fd.hpp"
 #include "support/fault.hpp"
 #include "support/strings.hpp"
 #include "support/temp_file.hpp"
@@ -56,26 +57,18 @@ Status PortFile::publish(const PortRecord& record) const {
                     "torn append to " + path_ + " (" + std::to_string(n) +
                         " of " + std::to_string(line.size()) + " bytes)");
   }
-  // The record hands a port to another process: it must survive the
-  // publisher crashing right after this call returns.
-  if (status.is_ok() && ::fsync(fd) != 0) {
-    status = errno_error("fsync " + path_, errno);
-  }
   ::close(fd);
   return status;
 }
 
-Result<std::vector<PortRecord>> PortFile::read_all() const {
-  std::vector<PortRecord> out;
-  auto contents = read_file(path_);
-  if (!contents.is_ok()) {
-    if (contents.error().code() == ErrorCode::kNotFound) return out;
-    return contents.error();
-  }
-  for (const std::string& line : strings::split(contents.value(), '\n')) {
+namespace {
+
+// Appends every well-formed record in `text` to `out`, one per
+// '\n'-separated line. Blank, torn and garbage lines are skipped.
+void parse_records(std::string_view text, std::vector<PortRecord>* out) {
+  for (const std::string& line : strings::split(text, '\n')) {
     auto fields = strings::split_whitespace(line);
     if (fields.size() != 4) continue;  // blank or torn line
-    PortRecord rec;
     std::int64_t pid = 0, ppid = 0, port = 0, seq = 0;
     if (!strings::parse_int(fields[0], &pid) ||
         !strings::parse_int(fields[1], &ppid) ||
@@ -84,19 +77,59 @@ Result<std::vector<PortRecord>> PortFile::read_all() const {
       continue;
     }
     if (port <= 0 || port > 65535) continue;
-    rec.pid = static_cast<int>(pid);
-    rec.parent_pid = static_cast<int>(ppid);
-    rec.port = static_cast<std::uint16_t>(port);
-    rec.seq = seq;
-    out.push_back(rec);
+    out->push_back(PortRecord{static_cast<int>(pid), static_cast<int>(ppid),
+                              static_cast<std::uint16_t>(port), seq});
   }
+}
+
+}  // namespace
+
+Result<std::vector<PortRecord>> PortFile::read_all() const {
+  std::vector<PortRecord> out;
+  auto contents = read_file(path_);
+  if (!contents.is_ok()) {
+    if (contents.error().code() == ErrorCode::kNotFound) return out;
+    return contents.error();
+  }
+  parse_records(contents.value(), &out);
+  return out;
+}
+
+Result<std::vector<PortRecord>> PortFile::tail(std::uint64_t* offset) const {
+  std::vector<PortRecord> out;
+  Fd fd(::open(path_.c_str(), O_RDONLY | O_CLOEXEC));
+  if (!fd.valid()) {
+    if (errno != ENOENT) return errno_error("open " + path_, errno);
+    *offset = 0;  // a recreated file starts over
+    return out;
+  }
+  struct stat st{};
+  if (::fstat(fd.get(), &st) != 0) return errno_error("fstat " + path_, errno);
+  const auto size = static_cast<std::uint64_t>(st.st_size);
+  if (size < *offset) *offset = 0;  // shorter than what we read: recreated
+  if (size == *offset) return out;
+  std::string chunk(size - *offset, '\0');
+  ssize_t n;
+  do {
+    n = ::pread(fd.get(), chunk.data(), chunk.size(),
+                static_cast<off_t>(*offset));
+  } while (n < 0 && errno == EINTR);
+  if (n < 0) return errno_error("read " + path_, errno);
+  chunk.resize(static_cast<size_t>(n));
+  // Only whole lines: a line still being written (or torn) stays for a
+  // later call, which sees it completed by the next publisher's '\n'.
+  size_t end = chunk.rfind('\n');
+  if (end == std::string::npos) return out;
+  parse_records(std::string_view(chunk).substr(0, end + 1), &out);
+  *offset += end + 1;
   return out;
 }
 
 Result<PortRecord> PortFile::await_pid(int pid, int timeout_millis) const {
   Stopwatch watch;
+  std::uint64_t offset = 0;
   while (true) {
-    DIONEA_ASSIGN_OR_RETURN(std::vector<PortRecord> records, read_all());
+    DIONEA_ASSIGN_OR_RETURN(std::vector<PortRecord> records, tail(&offset));
     // Latest record wins: a pid may republish after a second fork.
     for (auto it = records.rbegin(); it != records.rend(); ++it) {
       if (it->pid == pid) return *it;

@@ -35,11 +35,13 @@ class PortFile {
 
   const std::string& path() const noexcept { return path_; }
 
-  // Append one record: a single O_APPEND write of the full line,
-  // fsync'd so the record survives the publisher crashing immediately
-  // after. If the file's tail is a torn record (a writer died
-  // mid-append), the new record starts on a fresh line so it stays
-  // parseable.
+  // Append one record: a single O_APPEND write of the full line. There
+  // is no fsync: once write(2) returns the record is in the shared page
+  // cache, where every reader sees it even if the publisher dies the
+  // next instant; only a host crash could lose it, and after one every
+  // port in the file is dead anyway. If the file's tail is a torn
+  // record (a writer died mid-append), the new record starts on a fresh
+  // line so it stays parseable.
   Status publish(const PortRecord& record) const;
 
   // All records currently in the file, in append order. Torn or
@@ -52,6 +54,15 @@ class PortFile {
 
   // Records appended after the first `already_seen` ones.
   Result<std::vector<PortRecord>> read_new(size_t already_seen) const;
+
+  // Records in the complete lines between byte `*offset` and the end of
+  // the file, read with one pread; `*offset` moves past them. A line
+  // with no '\n' yet (mid-write, or torn) stays unread until a later
+  // publisher's leading '\n' completes it; it is then skipped as
+  // garbage, as read_all skips it. A file shorter than `*offset`, or
+  // missing, was recreated: reading starts again at byte 0. Costs only
+  // the new bytes, so a client can poll it every millisecond.
+  Result<std::vector<PortRecord>> tail(std::uint64_t* offset) const;
 
  private:
   std::string path_;

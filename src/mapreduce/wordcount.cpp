@@ -130,16 +130,6 @@ end
 nworkers = %d
 tasks = ipc_queue()
 partials = ipc_queue()
-files = walk_files("%s")
-for f in files
-  ipc_push(tasks, f)
-end
-w = 0
-while w < nworkers
-  ipc_push(tasks, nil)
-  w = w + 1
-end
-
 pids = []
 w = 0
 while w < nworkers
@@ -149,6 +139,16 @@ while w < nworkers
     exit(0)
   end
   push(pids, pid)
+  w = w + 1
+end
+
+files = walk_files("%s")
+for f in files
+  ipc_push(tasks, f)
+end
+w = 0
+while w < nworkers
+  ipc_push(tasks, nil)
   w = w + 1
 end
 

@@ -1,5 +1,7 @@
 #include "support/metrics.hpp"
 
+#include <pthread.h>
+
 #include <cstdlib>
 #include <cstring>
 
@@ -138,7 +140,18 @@ Registry::Registry() {
 Registry& Registry::instance() {
   // Leaked singleton: debuggee threads may record during static
   // destruction; shards must outlive everything.
-  static Registry* registry = new Registry();
+  static Registry* registry = [] {
+    auto* created = new Registry();
+    // A thread can hold mutex_ (taking or returning its shard, or
+    // summing a snapshot) at the instant another thread forks; the
+    // child would then deadlock in handler C's reset(). Pin the mutex
+    // across every fork; it is a leaf lock, so ordering relative to
+    // the VM/server handlers is irrelevant.
+    (void)pthread_atfork([] { instance().mutex_.lock(); },
+                         [] { instance().mutex_.unlock(); },
+                         [] { instance().mutex_.unlock(); });
+    return created;
+  }();
   return *registry;
 }
 

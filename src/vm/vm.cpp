@@ -87,6 +87,12 @@ void register_vm_fork_contract() {
                         .has_prepare = true,
                         .has_parent = true,
                         .has_child = true});
+    // So does metrics::Registry's shard-list mutex (also a leaf).
+    registry.track(Spec{.name = "support.metrics_lock",
+                        .subsystem = "support",
+                        .has_prepare = true,
+                        .has_parent = true,
+                        .has_child = true});
     return true;
   }();
   (void)once;

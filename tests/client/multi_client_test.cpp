@@ -41,6 +41,65 @@ TEST(MultiClientTest, StaleRecordForDeadProcessSkipped) {
   EXPECT_EQ(added.value(), 0);
 }
 
+// A record whose first attach fails (another client holds the server,
+// so the attach is refused) stays pending while its process lives, and
+// a later refresh adopts it.
+TEST(MultiClientTest, FailedAttachRetriedWhileProcessLives) {
+  auto tmp = TempDir::create("mc-test");
+  ASSERT_TRUE(tmp.is_ok());
+  vm::Interp interp;
+  dbg::DebugServer server(interp.vm(), dbg::DebugServer::Options{});
+  ASSERT_TRUE(server.start().is_ok());
+  auto other = Session::attach(server.port(), 5000);
+  ASSERT_TRUE(other.is_ok()) << other.error().to_string();
+  ipc::PortFile file(tmp.value().file("ports"));
+  ASSERT_TRUE(file.publish(ipc::PortRecord{static_cast<int>(::getpid()), 1,
+                                           server.port(), 0}).is_ok());
+  std::unique_ptr<Client> cc = Client::discover(tmp.value().file("ports"));
+  auto before = cc->refresh(100);
+  ASSERT_TRUE(before.is_ok());
+  EXPECT_EQ(before.value(), 0);
+
+  other.value()->hard_close();
+  ASSERT_TRUE(test::poll_until([&] { return !server.client_connected(); }));
+  auto after = cc->refresh(5000);
+  ASSERT_TRUE(after.is_ok());
+  EXPECT_EQ(after.value(), 1);
+  EXPECT_TRUE(cc->handle_for_pid(static_cast<int>(::getpid())).valid());
+  cc.reset();
+  server.stop();
+}
+
+// reconnect() adopts the pid's re-published record, so the next
+// refresh must not attach it a second time.
+TEST(MultiClientTest, ReconnectThenRefreshDoesNotReadopt) {
+  DebugHarness harness("sleep(30)", HarnessOptions{.stop_at_entry = false});
+  Session* first = harness.launch();
+  first->hard_close();  // the transport dies
+  ASSERT_TRUE(test::poll_until(
+      [&] { return !harness.server().client_connected(); }));
+  // What a restarted server publishes (here: the same live listener).
+  ipc::PortFile file(harness.port_file());
+  ASSERT_TRUE(file.publish(ipc::PortRecord{static_cast<int>(::getpid()), 1,
+                                           harness.server().port(), 1})
+                  .is_ok());
+  Client& cc = harness.client();
+  auto revived = cc.reconnect(harness.handle(), ReconnectPolicy{.max_attempts = 3});
+  // From here on the harness's own session pointer is stale: no ASSERT
+  // may skip the join below.
+  EXPECT_TRUE(revived.is_ok()) << revived.error().to_string();
+  auto added = cc.refresh(200);
+  EXPECT_TRUE(added.is_ok());
+  EXPECT_EQ(added.value_or(-1), 0);
+  if (revived.is_ok()) {
+    EXPECT_EQ(cc.session(harness.handle()), revived.value());
+    EXPECT_TRUE(revived.value()->connected());
+  }
+  EXPECT_EQ(cc.session_count(), 1u);
+  harness.vm().request_exit(0);
+  harness.join();
+}
+
 TEST(MultiClientTest, ForkGrowsSessionsToTwo) {
   DebugHarness harness(
       "pid = fork(fn()\n"

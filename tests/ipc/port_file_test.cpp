@@ -111,6 +111,94 @@ TEST_F(PortFileTest, AwaitPidSeesLatePublisher) {
   EXPECT_EQ(record.value().port, 3333);
 }
 
+TEST_F(PortFileTest, TailReadsOnlyCompleteLines) {
+  PortFile file(path());
+  std::uint64_t offset = 0;
+  ASSERT_TRUE(file.publish(PortRecord{1, 0, 1000, 0}).is_ok());
+  // A writer died mid-append: a torn tail with no '\n'.
+  ASSERT_TRUE(write_file_atomic(path(), read_file(path()).value() + "2 0 10")
+                  .is_ok());
+  auto first = file.tail(&offset);
+  ASSERT_TRUE(first.is_ok());
+  ASSERT_EQ(first.value().size(), 1u);
+  EXPECT_EQ(first.value()[0].pid, 1);
+  const std::uint64_t after_first = offset;
+  EXPECT_TRUE(file.tail(&offset).value().empty());
+  EXPECT_EQ(offset, after_first);  // the torn tail stays unconsumed
+
+  // The next publisher's leading '\n' completes the torn line, which is
+  // then skipped as garbage; the new record is read exactly once.
+  ASSERT_TRUE(file.publish(PortRecord{3, 0, 1003, 0}).is_ok());
+  auto second = file.tail(&offset);
+  ASSERT_TRUE(second.is_ok());
+  ASSERT_EQ(second.value().size(), 1u);
+  EXPECT_EQ(second.value()[0], (PortRecord{3, 0, 1003, 0}));
+  EXPECT_TRUE(file.tail(&offset).value().empty());
+  EXPECT_EQ(file.read_all().value().size(), 2u);
+}
+
+TEST_F(PortFileTest, TailSkipsGarbageLines) {
+  PortFile file(path());
+  ASSERT_TRUE(write_file_atomic(
+      path(), "garbage line\n77 88\n1 0 1000 0\n-1 0 99999 0\n\n2 0 1001 1\n")
+                  .is_ok());
+  std::uint64_t offset = 0;
+  auto records = file.tail(&offset);
+  ASSERT_TRUE(records.is_ok());
+  ASSERT_EQ(records.value().size(), 2u);
+  EXPECT_EQ(records.value()[0].pid, 1);
+  EXPECT_EQ(records.value()[1].pid, 2);
+  EXPECT_EQ(offset, read_file(path()).value().size());
+}
+
+TEST_F(PortFileTest, TailRestartsWhenFileIsRecreated) {
+  PortFile file(path());
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(file.publish(PortRecord{100 + i, 0, 2000, i}).is_ok());
+  }
+  std::uint64_t offset = 0;
+  ASSERT_EQ(file.tail(&offset).value().size(), 3u);
+  // Recreated, shorter than what was read: start again at byte 0.
+  ASSERT_TRUE(write_file_atomic(path(), "7 0 3000 0\n").is_ok());
+  auto records = file.tail(&offset);
+  ASSERT_TRUE(records.is_ok());
+  ASSERT_EQ(records.value().size(), 1u);
+  EXPECT_EQ(records.value()[0].pid, 7);
+  // Removed, then published afresh.
+  ASSERT_EQ(::unlink(path().c_str()), 0);
+  EXPECT_TRUE(file.tail(&offset).value().empty());
+  EXPECT_EQ(offset, 0u);
+  ASSERT_TRUE(file.publish(PortRecord{8, 0, 3001, 0}).is_ok());
+  records = file.tail(&offset);
+  ASSERT_TRUE(records.is_ok());
+  ASSERT_EQ(records.value().size(), 1u);
+  EXPECT_EQ(records.value()[0].pid, 8);
+}
+
+TEST_F(PortFileTest, TailAfterManyRecordsReturnsOnlyTheNewOne) {
+  PortFile file(path());
+  constexpr int kRecords = 10'000;
+  std::string contents;
+  for (int i = 0; i < kRecords; ++i) {
+    contents += std::to_string(i + 1) + " 1 4000 " + std::to_string(i) + "\n";
+  }
+  ASSERT_TRUE(write_file_atomic(path(), contents).is_ok());
+  std::uint64_t offset = 0;
+  ASSERT_EQ(file.tail(&offset).value().size(), static_cast<size_t>(kRecords));
+  PortRecord last{kRecords + 1, 1, 4001, kRecords};
+  ASSERT_TRUE(file.publish(last).is_ok());
+  auto fresh = file.tail(&offset);
+  ASSERT_TRUE(fresh.is_ok());
+  ASSERT_EQ(fresh.value().size(), 1u);
+  EXPECT_EQ(fresh.value()[0], last);
+  // read_new and read_all see the same file as before.
+  auto newest = file.read_new(kRecords);
+  ASSERT_TRUE(newest.is_ok());
+  ASSERT_EQ(newest.value().size(), 1u);
+  EXPECT_EQ(newest.value()[0], last);
+  EXPECT_EQ(file.read_all().value().size(), static_cast<size_t>(kRecords) + 1);
+}
+
 // The actual fork-handler usage: parent and child publish concurrently
 // through O_APPEND; no record may be lost or torn.
 TEST_F(PortFileTest, ConcurrentPublishersAcrossFork) {

@@ -111,6 +111,55 @@ TEST_F(WordcountAgreement, MiniLangSerialMatchesNative) {
                         " total=" + std::to_string(d.total) + "\n");
 }
 
+// More paths than the task queue's pipe holds (~64 KiB): the workers
+// must already be draining it while the parent feeds them, or the
+// parent blocks in ipc_push forever.
+TEST(WordcountFeedTest, PathsBeyondPipeCapacityDoNotDeadlock) {
+  auto tmp = TempDir::create("wc-feed");
+  ASSERT_TRUE(tmp.is_ok());
+  CorpusSpec spec;
+  spec.name = "feed";
+  spec.file_count = 2500;
+  spec.target_bytes_per_file = 64;
+  const std::string root = tmp.value().file(std::string(120, 'r'));
+  auto corpus = Corpus::generate(spec, root);
+  ASSERT_TRUE(corpus.is_ok()) << corpus.error().to_string();
+  auto native = count_corpus(corpus.value());
+  ASSERT_TRUE(native.is_ok());
+  ASSERT_GT(corpus.value().files().size() * root.size(), 64u * 1024);
+
+  // Run in a child so a deadlock fails within the deadline.
+  const std::string out_path = tmp.value().file("out");
+  std::fflush(nullptr);
+  pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::setpgid(0, 0);  // one group with the workers, for the kill below
+    vm::Interp interp;
+    mp::install_vm_bindings(interp.vm());
+    std::string output;
+    interp.vm().set_output([&](std::string_view t) { output.append(t); });
+    auto result = interp.run_string(wordcount_program(corpus.value().root(), 3),
+                                    "wordcount.ml");
+    if (interp.vm().is_forked_child()) ::_exit(0);
+    ::_exit(result.ok && write_file(out_path, output).is_ok() ? 0 : 1);
+  }
+  int status = 0;
+  bool exited = test::poll_until(
+      [&] { return ::waitpid(pid, &status, WNOHANG) == pid; }, 30'000);
+  if (!exited) {
+    ::kill(-pid, SIGKILL);
+    ::kill(pid, SIGKILL);
+    ::waitpid(pid, &status, 0);
+  }
+  ASSERT_TRUE(exited) << "wordcount_program still blocked after 30 s";
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  CountsDigest d = digest(native.value());
+  EXPECT_EQ(read_file(out_path).value_or(""),
+            "unique=" + std::to_string(d.unique) +
+                " total=" + std::to_string(d.total) + "\n");
+}
+
 TEST_F(WordcountAgreement, ProgramTextEmbedsParameters) {
   std::string program = wordcount_program("/some/root", 7);
   EXPECT_NE(program.find("\"/some/root\""), std::string::npos);

@@ -1,5 +1,10 @@
 #include "support/metrics.hpp"
 
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <atomic>
 #include <thread>
 #include <vector>
 
@@ -148,6 +153,40 @@ TEST(MetricsTest, ResetZerosEverything) {
     EXPECT_EQ(h.sum_nanos, 0u);
     EXPECT_EQ(h.max_nanos, 0u);
   }
+}
+
+// A sibling thread holds the registry mutex most of the time (a
+// snapshot loop) while this thread forks. The child's reset(), which
+// fork handler C calls, must not find the mutex held by a thread that
+// does not exist in the child.
+TEST(MetricsTest, ResetInForkedChildWhileSiblingSnapshots) {
+  Registry& reg = Registry::instance();
+  std::atomic<bool> stop{false};
+  std::thread sibling([&] {
+    while (!stop.load()) (void)reg.snapshot();
+  });
+  int hung = 0;
+  for (int i = 0; i < 100 && hung == 0; ++i) {
+    pid_t pid = ::fork();
+    if (pid == 0) {
+      reg.reset();
+      ::_exit(0);
+    }
+    if (pid < 0) break;
+    bool reaped = false;
+    for (int waited = 0; waited < 5000 && !reaped; ++waited) {
+      reaped = ::waitpid(pid, nullptr, WNOHANG) == pid;
+      if (!reaped) ::usleep(1000);
+    }
+    if (!reaped) {
+      ::kill(pid, SIGKILL);
+      ::waitpid(pid, nullptr, 0);
+      ++hung;
+    }
+  }
+  stop.store(true);
+  sibling.join();
+  EXPECT_EQ(hung, 0) << "a forked child deadlocked in Registry::reset()";
 }
 
 TEST(MetricsTest, ScopedTimerRecordsOneSample) {

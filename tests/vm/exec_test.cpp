@@ -254,6 +254,16 @@ TEST(ExecTest, NestedContainers) {
   expect_ml_output(program, "101\n");
 }
 
+// Indexing a temporary: the index op overwrites the stack slot that
+// holds the only reference to the container, so the element must be
+// copied out first (a use-after-free under ASan otherwise).
+TEST(ExecTest, IndexIntoTemporaryContainers) {
+  expect_ml_output("puts([10, 20, 30][1])", "20\n");
+  expect_ml_output("puts({\"a\": [1, 2]}[\"a\"][1])", "2\n");
+  expect_ml_output("puts([[1, 2]][0][1])", "2\n");
+  expect_ml_output("puts(repr([[\"x\", [3]]][0][1]))", "[3]\n");
+}
+
 TEST(ExecTest, MapLiteralEvaluationOrder) {
   expect_ml_output(
       "i = 0\nfn next()\n  return 1\nend\n"
