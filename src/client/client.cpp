@@ -1,9 +1,11 @@
 #include "client/client.hpp"
 
+#include <signal.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <iterator>
 
 #include "support/logging.hpp"
 #include "support/rng.hpp"
@@ -15,19 +17,28 @@ namespace proto = dbg::proto;
 
 namespace {
 
+// Between port-file polls: a poll that finds nothing new costs an
+// open, fstat and close.
+constexpr int kPortFilePollMillis = 1;
+// Between hub-sessions polls: each one is an RPC through the hub.
+constexpr int kHubPollMillis = 10;
+
 std::string fresh_token() {
   static std::atomic<std::uint64_t> counter{0};
   return "cli-" + std::to_string(::getpid()) + "-" +
          std::to_string(counter.fetch_add(1, std::memory_order_relaxed) + 1);
 }
 
-DebugEvent make_gone_event(int pid, bool clean_exit) {
+DebugEvent make_gone_event(int pid, bool clean_exit, int exit_code = -1,
+                           int term_signal = 0) {
   DebugEvent event;
   event.kind = clean_exit ? proto::Event::kProcessExited
                           : proto::Event::kProcessCrashed;
   event.name = proto::event_name(event.kind);
   event.payload = proto::make_event(event.kind);
   if (pid != 0) event.payload.set("pid", pid);
+  if (exit_code >= 0) event.payload.set("exit_code", exit_code);
+  if (term_signal != 0) event.payload.set("signal", term_signal);
   return event;
 }
 
@@ -35,44 +46,73 @@ DebugEvent make_gone_event(int pid, bool clean_exit) {
 
 std::unique_ptr<Client> Client::discover(std::string port_file_path) {
   auto client = std::unique_ptr<Client>(new Client());
-  client->mode_ = Mode::kDiscover;
-  client->multi_ = std::make_unique<MultiClient>(std::move(port_file_path));
+  client->port_file_.emplace(std::move(port_file_path));
   return client;
 }
 
 Result<std::unique_ptr<Client>> Client::connect(std::uint16_t port,
                                                 int timeout_millis) {
   auto client = std::unique_ptr<Client>(new Client());
-  DIONEA_RETURN_IF_ERROR(client->hub_handshake(port, timeout_millis));
+  DIONEA_RETURN_IF_ERROR(client->handshake(port, timeout_millis));
   return client;
 }
 
-Status Client::hub_handshake(std::uint16_t port, int timeout_millis) {
+Status Client::handshake(std::uint16_t port, int timeout_millis) {
   token_ = fresh_token();
-  DIONEA_ASSIGN_OR_RETURN(link_, Session::attach(port, timeout_millis, token_));
   endpoint_port_ = port;
-  if (link_->supports(proto::kCapHub)) {
-    mode_ = Mode::kHub;
-    DIONEA_RETURN_IF_ERROR(hub_attach_all());
-    DIONEA_RETURN_IF_ERROR(hub_refresh(timeout_millis).status());
-  } else {
-    // Pre-1.5 peer (or a direct per-process server): same surface, one
-    // session, handle = the debuggee pid.
-    mode_ = Mode::kSingle;
+  DIONEA_ASSIGN_OR_RETURN(std::unique_ptr<Session> link,
+                          Session::attach(port, timeout_millis, token_));
+  if (!link->supports(proto::kCapHub)) {
+    // A plain per-process server (or a pre-1.5 peer): its one session,
+    // handle = the debuggee pid.
+    unclaimed_.push_back(adopt(std::move(link))->pid());
+    return Status::ok();
   }
-  return Status::ok();
+  mode_ = Mode::kHub;
+  link_ = std::move(link);
+  DIONEA_RETURN_IF_ERROR(hub_attach_all());
+  return hub_refresh(timeout_millis).status();
 }
 
 Result<int> Client::refresh(int timeout_millis) {
-  switch (mode_) {
-    case Mode::kDiscover:
-      return multi_->refresh(timeout_millis);
-    case Mode::kHub:
-      return hub_refresh(timeout_millis);
-    case Mode::kSingle:
-      return 0;  // one endpoint, nothing new can appear
+  if (hub_mode()) return hub_refresh(timeout_millis);
+  if (!port_file_) return 0;  // one endpoint, nothing new can appear
+  DIONEA_ASSIGN_OR_RETURN(std::vector<ipc::PortRecord> fresh,
+                          port_file_->tail(&tail_offset_));
+  for (const ipc::PortRecord& record : fresh) {
+    // A newer record for a pid supersedes a pending one (re-bind).
+    std::erase_if(pending_, [&](const ipc::PortRecord& old) {
+      return old.pid == record.pid;
+    });
+    pending_.push_back(record);
   }
-  return 0;
+  int attached = 0;
+  std::vector<ipc::PortRecord> retry;
+  for (const ipc::PortRecord& record : pending_) {
+    // Re-published port (double fork re-binds): replace the session.
+    sessions_.erase(record.pid);
+    auto session = Session::attach(record.port, timeout_millis);
+    if (!session.is_ok()) {
+      // Retry on the next refresh while the process lives; drop the
+      // record once it has exited.
+      DLOG_DEBUG("client") << "could not attach pid " << record.pid << ": "
+                           << session.error().to_string();
+      if (::kill(record.pid, 0) == 0) retry.push_back(record);
+      continue;
+    }
+    if (session.value()->pid() != record.pid) {
+      // The port outlived the record's process and another listener
+      // now owns it. Dropping the session releases that server.
+      DLOG_DEBUG("client") << "port " << record.port << " of pid "
+                           << record.pid << " answers for pid "
+                           << session.value()->pid() << "; record dropped";
+      continue;
+    }
+    unclaimed_.push_back(adopt(std::move(session).value())->pid());
+    ++attached;
+  }
+  pending_ = std::move(retry);
+  return attached;
 }
 
 Result<int> Client::hub_refresh(int) {
@@ -91,20 +131,24 @@ Result<int> Client::hub_refresh(int) {
   return fresh;
 }
 
+Session* Client::adopt(std::unique_ptr<Session> session) {
+  int pid = session->pid();
+  // A fresh transport: its predecessor's death and corpse are history.
+  reported_dead_.erase(pid);
+  crash_reports_.erase(pid);
+  Session* raw = session.get();
+  sessions_[pid] = std::move(session);
+  return raw;
+}
+
 std::vector<SessionHandle> Client::sessions() const {
   std::vector<SessionHandle> out;
-  switch (mode_) {
-    case Mode::kDiscover:
-      for (int pid : multi_->pids()) out.push_back({pid});
-      break;
-    case Mode::kHub:
-      for (const auto& [id, entry] : known_) {
-        if (entry.alive && !entry.synthetic) out.push_back({id});
-      }
-      break;
-    case Mode::kSingle:
-      if (link_ != nullptr) out.push_back({link_->pid()});
-      break;
+  if (hub_mode()) {
+    for (const auto& [id, entry] : known_) {
+      if (entry.alive && !entry.synthetic) out.push_back({id});
+    }
+  } else {
+    for (const auto& [pid, unused] : sessions_) out.push_back({pid});
   }
   return out;
 }
@@ -112,164 +156,92 @@ std::vector<SessionHandle> Client::sessions() const {
 size_t Client::session_count() const { return sessions().size(); }
 
 SessionHandle Client::handle_for_pid(int pid) const {
-  switch (mode_) {
-    case Mode::kDiscover:
-      return multi_->session(pid) != nullptr ? SessionHandle{pid}
-                                             : SessionHandle{};
-    case Mode::kHub: {
-      // Newest matching registration wins: after a double fork the
-      // same pid re-registers under a fresh (higher) session id.
-      SessionHandle found{};
-      for (const auto& [id, entry] : known_) {
-        if (entry.pid == pid && entry.alive) found = SessionHandle{id};
-      }
-      return found;
-    }
-    case Mode::kSingle:
-      return (link_ != nullptr && link_->pid() == pid) ? SessionHandle{pid}
-                                                       : SessionHandle{};
+  if (!hub_mode()) {
+    return sessions_.count(pid) > 0 ? SessionHandle{pid} : SessionHandle{};
   }
-  return {};
+  // Newest matching registration wins: after a double fork the same
+  // pid re-registers under a fresh (higher) session id.
+  SessionHandle found{};
+  for (const auto& [id, entry] : known_) {
+    if (entry.pid == pid && entry.alive) found = SessionHandle{id};
+  }
+  return found;
 }
 
 int Client::pid_of(SessionHandle handle) const {
-  switch (mode_) {
-    case Mode::kDiscover:
-    case Mode::kSingle:
-      return static_cast<int>(handle.id);
-    case Mode::kHub: {
-      auto it = known_.find(handle.id);
-      return it == known_.end() ? 0 : it->second.pid;
-    }
-  }
-  return 0;
+  if (!hub_mode()) return static_cast<int>(handle.id);
+  auto it = known_.find(handle.id);
+  return it == known_.end() ? 0 : it->second.pid;
 }
 
 Result<SessionHandle> Client::attach(int pid, int timeout_millis) {
-  if (mode_ == Mode::kDiscover) {
-    DIONEA_RETURN_IF_ERROR(
-        multi_->await_process(pid, timeout_millis).status());
-    return SessionHandle{pid};
-  }
-  if (mode_ == Mode::kSingle) {
-    if (link_ != nullptr && link_->pid() == pid) return SessionHandle{pid};
-    return Error(ErrorCode::kNotFound,
-                 "single-session endpoint is not pid " + std::to_string(pid));
-  }
   Stopwatch watch;
   while (true) {
-    DIONEA_RETURN_IF_ERROR(hub_refresh(timeout_millis).status());
+    DIONEA_RETURN_IF_ERROR(refresh(timeout_millis).status());
     SessionHandle handle = handle_for_pid(pid);
     if (handle.valid()) {
       claim(handle);
       return handle;
     }
-    if (watch.elapsed_seconds() * 1000.0 > timeout_millis) {
-      return Error(ErrorCode::kTimeout,
-                   "no hub session for pid " + std::to_string(pid));
+    if (fixed() || watch.elapsed_seconds() * 1000.0 > timeout_millis) {
+      return Error(fixed() ? ErrorCode::kNotFound : ErrorCode::kTimeout,
+                   "no session for pid " + std::to_string(pid));
     }
-    sleep_for_millis(10);
+    sleep_for_millis(hub_mode() ? kHubPollMillis : kPortFilePollMillis);
   }
 }
 
 Result<SessionHandle> Client::attach_any(int timeout_millis) {
-  if (mode_ == Mode::kDiscover) {
-    DIONEA_ASSIGN_OR_RETURN(Session * session,
-                            multi_->await_new_process(timeout_millis));
-    return SessionHandle{session->pid()};
-  }
-  if (mode_ == Mode::kSingle) {
-    if (link_ == nullptr) return Error(ErrorCode::kClosed, "no endpoint");
-    SessionHandle handle{link_->pid()};
-    if (claimed_.count(handle.id) > 0) {
-      return Error(ErrorCode::kTimeout, "no new process appeared");
-    }
-    claimed_.insert(handle.id);
-    return handle;
-  }
+  auto live = [this](std::int64_t id) {
+    if (!hub_mode()) return sessions_.count(static_cast<int>(id)) > 0;
+    auto it = known_.find(id);
+    return it != known_.end() && it->second.alive;
+  };
   Stopwatch watch;
   while (true) {
+    // Hand out sessions adopted by earlier refreshes first: one
+    // refresh may adopt several children at once.
     while (!unclaimed_.empty()) {
       std::int64_t id = unclaimed_.front();
       unclaimed_.pop_front();
-      auto it = known_.find(id);
-      if (it == known_.end() || !it->second.alive) continue;
-      claimed_.insert(id);
-      return SessionHandle{id};
+      if (live(id)) return SessionHandle{id};
     }
-    DIONEA_RETURN_IF_ERROR(hub_refresh(timeout_millis).status());
+    DIONEA_RETURN_IF_ERROR(refresh(timeout_millis).status());
     if (unclaimed_.empty()) {
-      if (watch.elapsed_seconds() * 1000.0 > timeout_millis) {
+      if (fixed() || watch.elapsed_seconds() * 1000.0 > timeout_millis) {
         return Error(ErrorCode::kTimeout, "no new session appeared");
       }
-      sleep_for_millis(10);
+      sleep_for_millis(hub_mode() ? kHubPollMillis : kPortFilePollMillis);
     }
   }
 }
 
-void Client::claim(SessionHandle handle) {
-  switch (mode_) {
-    case Mode::kDiscover:
-      multi_->claim(static_cast<int>(handle.id));
-      break;
-    case Mode::kHub:
-    case Mode::kSingle:
-      claimed_.insert(handle.id);
-      unclaimed_.erase(
-          std::remove(unclaimed_.begin(), unclaimed_.end(), handle.id),
-          unclaimed_.end());
-      break;
-  }
-}
+void Client::claim(SessionHandle handle) { std::erase(unclaimed_, handle.id); }
 
 Session* Client::session(SessionHandle handle) {
-  switch (mode_) {
-    case Mode::kDiscover:
-      return multi_->session(static_cast<int>(handle.id));
-    case Mode::kHub:
-      return known_.count(handle.id) > 0 ? routed(handle.id) : nullptr;
-    case Mode::kSingle:
-      return (link_ != nullptr && link_->pid() == handle.id) ? link_.get()
-                                                             : nullptr;
+  if (hub_mode()) {
+    if (known_.count(handle.id) == 0) return nullptr;
+    link_->set_route(handle.id);
+    return link_.get();
   }
-  return nullptr;
-}
-
-Session* Client::routed(std::int64_t session_id) {
-  link_->set_route(session_id);
-  return link_.get();
+  auto it = sessions_.find(static_cast<int>(handle.id));
+  return it == sessions_.end() ? nullptr : it->second.get();
 }
 
 void Client::drop(SessionHandle handle) {
-  switch (mode_) {
-    case Mode::kDiscover:
-      multi_->drop(static_cast<int>(handle.id));
-      break;
-    case Mode::kHub:
-      known_.erase(handle.id);
-      claimed_.erase(handle.id);
-      reported_dead_.erase(handle.id);
-      unclaimed_.erase(
-          std::remove(unclaimed_.begin(), unclaimed_.end(), handle.id),
-          unclaimed_.end());
-      break;
-    case Mode::kSingle:
-      if (link_ != nullptr && link_->pid() == handle.id) link_->hard_close();
-      break;
-  }
+  sessions_.erase(static_cast<int>(handle.id));
+  known_.erase(handle.id);
+  reported_dead_.erase(handle.id);
+  claim(handle);
   if (active_.session == handle) active_ = View{};
 }
 
 Result<Session*> Client::reconnect(SessionHandle handle,
                                    const ReconnectPolicy& policy) {
-  if (mode_ == Mode::kDiscover) {
-    return multi_->reconnect(static_cast<int>(handle.id), policy);
-  }
-  // Hub / single: re-dial the one endpoint with the same token and
-  // capped exponential backoff. Handles are server-side state (hub
-  // session ids / the debuggee pid), so they survive untouched.
+  // Breakpoints belong to the user, not the connection: carry them
+  // over from the dead session (if any survives to consult).
   std::vector<BreakpointSpec> carry;
-  if (link_ != nullptr) carry = link_->breakpoints_set();
+  if (Session* old = session(handle)) carry = old->breakpoints_set();
   Rng rng(policy.seed ^ static_cast<std::uint64_t>(handle.id));
   double delay = static_cast<double>(policy.initial_delay_millis);
   Error last(ErrorCode::kUnavailable, "no reconnect attempt made");
@@ -282,34 +254,20 @@ Result<Session*> Client::reconnect(SessionHandle handle,
       delay = std::min(delay * policy.multiplier,
                        static_cast<double>(policy.max_delay_millis));
     }
-    auto attached = Session::attach(endpoint_port_, /*timeout_millis=*/500,
-                                    token_);
-    if (!attached.is_ok()) {
-      last = attached.error();
+    auto revived = redial(handle);
+    if (!revived.is_ok()) {
+      last = revived.error();
       continue;
     }
-    link_ = std::move(attached).value();
-    if (mode_ == Mode::kHub) {
-      if (Status sub = hub_attach_all(); !sub.is_ok()) {
-        DLOG_DEBUG("client") << "reconnect: hub re-subscribe failed: "
-                             << sub.to_string();
-      }
-      (void)hub_refresh(500);
-      reported_dead_.erase(handle.id);
-      if (known_.count(handle.id) == 0) {
-        return Error(ErrorCode::kNotFound,
-                     "session " + std::to_string(handle.id) +
-                         " no longer known to the hub");
-      }
-    } else {
-      reported_dead_.clear();
+    if (hub_mode() && known_.count(handle.id) == 0) {
+      return Error(ErrorCode::kNotFound,
+                   "session " + std::to_string(handle.id) +
+                       " no longer known to the hub");
     }
-    Session* raw = session(handle);
-    if (raw == nullptr) {
-      last = Error(ErrorCode::kNotFound, "handle vanished across reconnect");
-      continue;
-    }
+    Session* raw = revived.value();
     for (const BreakpointSpec& bp : carry) {
+      // Best effort — the restarted debuggee may not know the file
+      // (yet); a failed re-apply must not fail the reconnect.
       auto re_set = raw->set_breakpoint(bp.file, bp.line, bp.tid, bp.ignore);
       if (!re_set.is_ok()) {
         DLOG_DEBUG("client") << "reconnect: breakpoint " << bp.file << ":"
@@ -319,46 +277,89 @@ Result<Session*> Client::reconnect(SessionHandle handle,
     }
     return raw;
   }
-  return Error(last.code(),
-               "reconnect failed after " + std::to_string(policy.max_attempts) +
-                   " attempts: " + last.message());
+  return Error(last.code(), "reconnect to session " +
+                                std::to_string(handle.id) + " failed after " +
+                                std::to_string(policy.max_attempts) +
+                                " attempts: " + last.message());
+}
+
+Result<Session*> Client::redial(SessionHandle handle) {
+  if (hub_mode()) {
+    // Same endpoint, same token: the hub's session ids survive untouched.
+    DIONEA_ASSIGN_OR_RETURN(link_, Session::attach(endpoint_port_,
+                                                   /*timeout_millis=*/500,
+                                                   token_));
+    if (Status sub = hub_attach_all(); !sub.is_ok()) {
+      DLOG_DEBUG("client") << "reconnect: hub re-subscribe failed: "
+                           << sub.to_string();
+    }
+    (void)hub_refresh(500);
+    reported_dead_.erase(handle.id);
+    link_->set_route(handle.id);
+    return link_.get();
+  }
+  int pid = static_cast<int>(handle.id);
+  std::uint16_t port = endpoint_port_;
+  if (port_file_) {
+    // Read the whole port file: the restarted server re-published, and
+    // its newest record for this pid is the live one.
+    DIONEA_ASSIGN_OR_RETURN(std::vector<ipc::PortRecord> records,
+                            port_file_->read_all());
+    port = 0;
+    for (const ipc::PortRecord& record : records) {
+      if (record.pid == pid) port = record.port;
+    }
+    if (port == 0) {
+      return Error(ErrorCode::kNotFound,
+                   "no port record for pid " + std::to_string(pid));
+    }
+  }
+  DIONEA_ASSIGN_OR_RETURN(
+      std::unique_ptr<Session> session,
+      Session::attach(port, /*timeout_millis=*/500, token_));
+  if (session->pid() != pid) {
+    return Error(ErrorCode::kNotFound,
+                 "port " + std::to_string(port) + " answers for pid " +
+                     std::to_string(session->pid()) + ", not " +
+                     std::to_string(pid));
+  }
+  if (port_file_) {
+    // The re-published record is now adopted; don't let the next
+    // refresh() re-attach it and clobber this session. Other pids'
+    // unread records stay pending for refresh().
+    if (auto unread = port_file_->tail(&tail_offset_); unread.is_ok()) {
+      pending_.insert(pending_.end(), unread.value().begin(),
+                      unread.value().end());
+    }
+    std::erase_if(pending_, [pid](const ipc::PortRecord& record) {
+      return record.pid == pid;
+    });
+  }
+  return adopt(std::move(session));
 }
 
 void Client::note_child_exit(int pid, int exit_code, int term_signal) {
-  if (mode_ == Mode::kDiscover) {
-    multi_->note_child_exit(pid, exit_code, term_signal);
-    return;
-  }
-  if (mode_ == Mode::kHub) return;  // the hub synthesizes these itself
-  SessionHandle handle{pid};
-  if (reported_dead_.count(handle.id) > 0) return;
-  reported_dead_.insert(handle.id);
-  DebugEvent event = make_gone_event(pid, term_signal == 0);
-  if (exit_code >= 0) event.payload.set("exit_code", exit_code);
-  if (term_signal != 0) event.payload.set("signal", term_signal);
-  pending_events_.push_back({handle, std::move(event)});
+  if (hub_mode()) return;  // the hub synthesizes these itself
+  if (!reported_dead_.insert(pid).second) return;
+  pending_events_.push_back(
+      {SessionHandle{pid},
+       make_gone_event(pid, /*clean_exit=*/term_signal == 0, exit_code,
+                       term_signal)});
 }
 
 std::string Client::crash_report_path(SessionHandle handle) const {
-  if (mode_ == Mode::kDiscover) {
-    return multi_->crash_report_path(static_cast<int>(handle.id));
-  }
   auto it = crash_reports_.find(handle.id);
   return it == crash_reports_.end() ? std::string() : it->second;
 }
 
 Status Client::activate(SessionHandle handle, std::int64_t tid) {
-  if (mode_ == Mode::kDiscover) {
-    DIONEA_RETURN_IF_ERROR(
-        multi_->activate(static_cast<int>(handle.id), tid));
-    active_ = View{handle, tid};
-    return Status::ok();
-  }
   Session* target = session(handle);
   if (target == nullptr) {
     return Status(ErrorCode::kNotFound,
                   "no session " + std::to_string(handle.id));
   }
+  // Validate the thread exists in that process (the §4.2 sequence:
+  // clicking thread 2 of process B triggers a call into the server).
   DIONEA_ASSIGN_OR_RETURN(std::vector<RemoteThread> threads,
                           target->threads());
   for (const RemoteThread& t : threads) {
@@ -375,19 +376,11 @@ Status Client::activate(SessionHandle handle, std::int64_t tid) {
 Client::View Client::active_view() const { return active_; }
 
 Result<std::string> Client::active_source() {
-  if (!active_.valid()) {
-    return Error(ErrorCode::kInvalidArgument, "no active view");
-  }
-  Session* target = session(active_.session);
-  if (target == nullptr) {
-    return Error(ErrorCode::kNotFound, "active session is gone");
-  }
-  DIONEA_ASSIGN_OR_RETURN(std::vector<RemoteFrame> frames,
-                          target->frames(active_.tid));
+  DIONEA_ASSIGN_OR_RETURN(std::vector<RemoteFrame> frames, active_frames());
   if (frames.empty()) {
     return Error(ErrorCode::kNotFound, "active thread has no frames");
   }
-  return target->source(frames.front().file);
+  return session(active_.session)->source(frames.front().file);
 }
 
 Result<std::vector<RemoteFrame>> Client::active_frames() {
@@ -403,75 +396,77 @@ Result<std::vector<RemoteFrame>> Client::active_frames() {
 
 Result<std::vector<Client::SessionEvent>> Client::poll_events(
     int timeout_millis) {
-  if (mode_ == Mode::kDiscover) {
-    DIONEA_ASSIGN_OR_RETURN(auto pairs, multi_->poll_all_events(timeout_millis));
-    std::vector<SessionEvent> out;
-    out.reserve(pairs.size());
-    for (auto& [pid, event] : pairs) {
-      out.push_back({SessionHandle{pid}, std::move(event)});
-    }
-    return out;
-  }
-
-  std::vector<SessionEvent> out;
-  while (!pending_events_.empty()) {
-    out.push_back(std::move(pending_events_.front()));
-    pending_events_.pop_front();
-  }
-
-  if (link_ == nullptr || !link_->connected()) {
-    // The one transport is gone. In hub mode that silences every
-    // session at once; announce each live one exactly once.
-    for (SessionHandle handle : sessions()) {
-      if (reported_dead_.count(handle.id) > 0) continue;
-      reported_dead_.insert(handle.id);
-      bool clean = link_ != nullptr && link_->terminated_seen();
-      out.push_back({handle, make_gone_event(pid_of(handle), clean)});
-    }
-    return out;
-  }
-
-  int wait = timeout_millis;
-  while (true) {
-    auto event = link_->poll_event(wait);
-    if (!event.is_ok()) {
-      if (event.error().code() == ErrorCode::kClosed) {
-        for (SessionHandle handle : sessions()) {
-          if (reported_dead_.count(handle.id) > 0) continue;
-          reported_dead_.insert(handle.id);
-          out.push_back(
-              {handle, make_gone_event(pid_of(handle),
-                                       link_->terminated_seen())});
-        }
-        return out;
+  // Out-of-band observations (note_child_exit) go first: they arrived
+  // earlier than anything still sitting in a socket buffer.
+  std::vector<SessionEvent> out(
+      std::make_move_iterator(pending_events_.begin()),
+      std::make_move_iterator(pending_events_.end()));
+  pending_events_.clear();
+  if (hub_mode()) {
+    // The one transport is every session's: losing it silences them
+    // all at once.
+    DIONEA_ASSIGN_OR_RETURN(
+        bool alive, drain(*link_, SessionHandle{}, timeout_millis, out));
+    if (!alive) {
+      for (SessionHandle handle : sessions()) {
+        report_gone(handle, link_->terminated_seen(), out);
       }
-      return event.error();
     }
-    if (!event.value().has_value()) break;
-    DebugEvent ev = std::move(*event.value());
-    // The hub stamps every routed event with its session id; a direct
-    // 1.4 server doesn't, so fall back to the link's own session.
-    std::int64_t sid = ev.payload.get_int(proto::kSessionIdKey);
-    SessionHandle handle =
-        sid != 0 ? SessionHandle{sid}
-                 : (mode_ == Mode::kSingle ? SessionHandle{link_->pid()}
-                                           : SessionHandle{});
-    if (ev.kind == proto::Event::kProcessCrashed ||
-        ev.kind == proto::Event::kProcessExited) {
-      std::string path = ev.payload.get_string("report_path");
-      if (!path.empty()) crash_reports_[handle.id] = path;
-      reported_dead_.insert(handle.id);
-      auto it = known_.find(handle.id);
-      if (it != known_.end()) it->second.alive = false;
+    return out;
+  }
+  for (auto& [pid, session] : sessions_) {
+    if (reported_dead_.count(pid) > 0) continue;  // already announced
+    DIONEA_ASSIGN_OR_RETURN(
+        bool alive, drain(*session, SessionHandle{pid}, timeout_millis, out));
+    if (!alive) {
+      report_gone(SessionHandle{pid}, session->terminated_seen(), out);
     }
-    out.push_back({handle, std::move(ev)});
-    wait = 0;  // drain whatever else is buffered without blocking again
   }
   return out;
 }
 
+Result<bool> Client::drain(Session& link, SessionHandle owner,
+                           int timeout_millis, std::vector<SessionEvent>& out) {
+  if (!link.connected()) return false;
+  int wait = timeout_millis;
+  while (true) {
+    auto event = link.poll_event(wait);
+    if (!event.is_ok()) {
+      if (event.error().code() == ErrorCode::kClosed) return false;
+      return event.error();
+    }
+    if (!event.value().has_value()) return true;
+    DebugEvent ev = std::move(*event.value());
+    // The hub stamps every routed event with its session id; a direct
+    // server's events belong to the session they arrived on.
+    SessionHandle handle =
+        owner.valid() ? owner
+                      : SessionHandle{ev.payload.get_int(proto::kSessionIdKey)};
+    if (ev.kind == proto::Event::kProcessCrashed ||
+        ev.kind == proto::Event::kProcessExited) {
+      // The last gasp: remember where the corpse is and mark the
+      // session announced, so the transport collapse that follows is
+      // not reported a second time.
+      std::string path = ev.payload.get_string("report_path");
+      if (!path.empty()) crash_reports_[handle.id] = path;
+      reported_dead_.insert(handle.id);
+      if (auto it = known_.find(handle.id); it != known_.end()) {
+        it->second.alive = false;
+      }
+    }
+    out.push_back({handle, std::move(ev)});
+    wait = 0;  // drain whatever else is buffered without blocking again
+  }
+}
+
+void Client::report_gone(SessionHandle handle, bool clean_exit,
+                         std::vector<SessionEvent>& out) {
+  if (!reported_dead_.insert(handle.id).second) return;
+  out.push_back({handle, make_gone_event(pid_of(handle), clean_exit)});
+}
+
 Result<std::vector<proto::HubSessionEntry>> Client::hub_sessions() {
-  if (mode_ != Mode::kHub) {
+  if (!hub_mode()) {
     return Error(ErrorCode::kUnavailable, "not connected to a hub");
   }
   DIONEA_ASSIGN_OR_RETURN(
@@ -483,7 +478,7 @@ Result<std::vector<proto::HubSessionEntry>> Client::hub_sessions() {
 }
 
 Status Client::hub_attach_all() {
-  if (mode_ != Mode::kHub) {
+  if (!hub_mode()) {
     return Status(ErrorCode::kUnavailable, "not connected to a hub");
   }
   proto::HubAttachRequest request;

@@ -1,21 +1,20 @@
-// Session-addressed client API (the 1.5 redesign).
+// The multi-process client (Fig. 1): one client holding a session per
+// debuggee — "1 client : N servers; 1 server : 1 client" (§4.1) — plus
+// the debug-view multiplexing of §4.2 (exactly one active view
+// (process, thread) at a time). Sessions are addressed by handle, and
+// the client runs in one of two modes:
 //
-// The older MultiClient exposes debuggees by pid, which only works
-// when the client itself discovers every process (port-file tailing).
-// Behind a hub the client holds ONE connection and addresses sessions
-// by hub-assigned id; pids are advisory. Client unifies the three
-// transports behind one handle-centric surface:
+//  - direct: one Session per debuggee, handles are pids (stable across
+//    reconnects). discover(port_file) tails the port file that fork
+//    handler C appends to and adopts every new record — the client half
+//    of §5.3 problem 3. connect(port) to a plain server (no `hub`
+//    capability) holds that one session and has no port file.
+//  - hub: connect(port) to a peer that advertises `hub`. The client
+//    holds ONE connection, handles are hub session ids (pids are
+//    advisory), and every request rides the shared connection with a
+//    session_id envelope stamp.
 //
-//  - discover(port_file): the classic §5.3 mode. One Session per
-//    debuggee, handles are pids (stable across reconnects — the hub
-//    property holds trivially).
-//  - connect(port): single endpoint. If the peer advertises the `hub`
-//    capability, handles are hub session ids and every request rides
-//    the shared connection with a session_id envelope stamp. If not,
-//    the client downgrades to plain 1.4 single-session behavior over
-//    the same code path (handle = the one pid).
-//
-// Handles survive reconnect() in every mode: they name the session,
+// Handles survive reconnect() in both modes: they name the session,
 // not the socket.
 #pragma once
 
@@ -23,20 +22,21 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "client/multi_client.hpp"
 #include "client/session.hpp"
 #include "debugger/protocol.hpp"
+#include "ipc/port_file.hpp"
 #include "support/result.hpp"
 
 namespace dionea::client {
 
-// Opaque, stable address of one debuggee session. In discover() mode
-// the id happens to equal the pid; against a hub it is the hub's
-// session id. Code should not rely on either beyond display.
+// Opaque, stable address of one debuggee session. In direct mode the
+// id happens to equal the pid; against a hub it is the hub's session
+// id. Code should not rely on either beyond display.
 struct SessionHandle {
   std::int64_t id = 0;
   bool valid() const noexcept { return id != 0; }
@@ -46,20 +46,38 @@ struct SessionHandle {
   }
 };
 
+// Capped exponential backoff with jitter for reconnect(): the first
+// attempt is immediate; attempt n sleeps
+//   delay_n * uniform(1 - jitter, 1 + jitter),
+// delay_{n+1} = min(delay_n * multiplier, max_delay_millis).
+// `seed` (xor'd with the handle id) makes the jitter deterministic in
+// tests.
+struct ReconnectPolicy {
+  int max_attempts = 8;
+  int initial_delay_millis = 20;
+  int max_delay_millis = 1000;
+  double multiplier = 2.0;
+  double jitter = 0.25;
+  std::uint64_t seed = 0x9e3779b97f4a7c15ull;
+};
+
 class Client {
  public:
-  // Port-file discovery mode (direct sessions, one per debuggee).
+  // Direct mode over the port file: one session per debuggee.
   static std::unique_ptr<Client> discover(std::string port_file_path);
 
-  // Single-endpoint mode: hub when the peer advertises kCapHub,
-  // single-session downgrade otherwise.
+  // Single endpoint: hub mode when the peer advertises kCapHub, else a
+  // direct client holding the peer's one session.
   static Result<std::unique_ptr<Client>> connect(std::uint16_t port,
                                                  int timeout_millis);
 
   bool hub_mode() const noexcept { return mode_ == Mode::kHub; }
 
   // Adopt sessions that appeared since the last call (new port-file
-  // records / new hub registrations). Returns how many are new.
+  // records / new hub registrations). Returns how many are new. A
+  // record whose attach fails stays pending and is retried while its
+  // process lives; a record whose port answers for another pid is
+  // dropped.
   Result<int> refresh(int timeout_millis);
 
   // Known live sessions, in handle order.
@@ -86,14 +104,19 @@ class Client {
 
   // Re-establish transport for `handle` with capped exponential
   // backoff. The handle keeps working afterwards — in hub mode the ids
-  // live in the hub, in discover mode the pid re-binds to the new
-  // port record (breakpoints re-applied).
+  // live in the hub; in direct mode the pid re-binds to its newest
+  // port record (or to the connect() port when there is no port file).
+  // Breakpoints the old session had set are re-applied (server ids
+  // change; paused-thread state is NOT recovered).
   Result<Session*> reconnect(SessionHandle handle,
                              const ReconnectPolicy& policy = {});
 
-  // Out-of-band child-exit observation (mp::ChildReaper), direct modes
-  // only; the hub synthesizes these itself.
+  // Out-of-band child-exit observation (mp::ChildReaper), direct mode
+  // only; the hub synthesizes these itself. `term_signal` != 0 means
+  // the child was killed by that signal (a crash).
   void note_child_exit(int pid, int exit_code, int term_signal);
+  // Post-mortem report path from the server's last-gasp
+  // process-crashed frame; empty when no crash has been seen.
   std::string crash_report_path(SessionHandle handle) const;
 
   // ---- debug views (§4.2) ----
@@ -102,8 +125,12 @@ class Client {
     std::int64_t tid = 0;
     bool valid() const noexcept { return session.valid(); }
   };
+  // Clicking a thread in the GUI: that (process, thread) becomes the
+  // active view; the previous one is hidden.
   Status activate(SessionHandle handle, std::int64_t tid);
   View active_view() const;
+  // Source text + current frame stack of the active view — what the
+  // GUI's Source code view would render.
   Result<std::string> active_source();
   Result<std::vector<RemoteFrame>> active_frames();
 
@@ -112,45 +139,64 @@ class Client {
     SessionHandle session;
     DebugEvent event;
   };
-  // Drain pending events across every session. A dead session yields
-  // one synthesized process-exited/process-crashed and is then muted.
+  // Drain every event already buffered on each transport, waiting up
+  // to `timeout_millis` for the first one (per direct session; once
+  // for the hub connection). Events of one session keep their order. A
+  // dead session yields one synthesized process-exited (after a clean
+  // `terminated`) or process-crashed and is then muted until
+  // reconnect() revives it.
   Result<std::vector<SessionEvent>> poll_events(int timeout_millis);
 
-  // ---- hub-specific (kUnavailable in other modes) ----
+  // ---- hub-specific (kUnavailable in direct mode) ----
   Result<std::vector<dbg::proto::HubSessionEntry>> hub_sessions();
   // Subscribe the events channel to every session, present and future.
   // connect() does this automatically in hub mode.
   Status hub_attach_all();
 
-  // Deprecated escape hatch for code mid-migration: the underlying
-  // MultiClient in discover() mode, null otherwise.
-  MultiClient* legacy() noexcept { return multi_.get(); }
-
  private:
-  enum class Mode { kDiscover, kHub, kSingle };
+  enum class Mode { kDirect, kHub };
 
   Client() = default;
-  Status hub_handshake(std::uint16_t port, int timeout_millis);
+  Status handshake(std::uint16_t port, int timeout_millis);
   Result<int> hub_refresh(int timeout_millis);
-  Session* routed(std::int64_t session_id);
+  // True when no session can appear after construction: connect() to a
+  // plain server.
+  bool fixed() const noexcept { return !hub_mode() && !port_file_; }
+  // One reconnect attempt: a fresh transport for `handle`.
+  Result<Session*> redial(SessionHandle handle);
+  Session* adopt(std::unique_ptr<Session> session);
+  // Read the events `link` has buffered into `out`, waiting up to
+  // `timeout_millis` for the first. False once its transport is gone.
+  Result<bool> drain(Session& link, SessionHandle owner, int timeout_millis,
+                     std::vector<SessionEvent>& out);
+  void report_gone(SessionHandle handle, bool clean_exit,
+                   std::vector<SessionEvent>& out);
 
-  Mode mode_ = Mode::kDiscover;
-
-  // kDiscover
-  std::unique_ptr<MultiClient> multi_;
-
-  // kHub / kSingle: the one connection.
-  std::unique_ptr<Session> link_;
+  Mode mode_ = Mode::kDirect;
+  // connect(): the endpoint reconnect() re-dials, and the token that
+  // lets a hub pair our control and events connections.
   std::uint16_t endpoint_port_ = 0;
   std::string token_;
 
-  // kHub bookkeeping.
+  // Direct: pid -> session. The port file is set by discover() only.
+  std::map<int, std::unique_ptr<Session>> sessions_;
+  std::optional<ipc::PortFile> port_file_;
+  std::uint64_t tail_offset_ = 0;  // port-file bytes already read
+  // Records read but not attached yet: the attach failed while the
+  // process was still alive, so refresh() tries again.
+  std::vector<ipc::PortRecord> pending_;
+
+  // Hub: the one connection, and the hub's session table.
+  std::unique_ptr<Session> link_;
   std::map<std::int64_t, dbg::proto::HubSessionEntry> known_;
-  std::deque<std::int64_t> unclaimed_;
-  std::set<std::int64_t> claimed_;
+
+  std::deque<std::int64_t> unclaimed_;  // adopted, not yet handed out
+  // Handles whose death was already reported; direct sessions stay in
+  // `sessions_` (breakpoints_set survives for reconnect).
   std::set<std::int64_t> reported_dead_;
   std::map<std::int64_t, std::string> crash_reports_;
-  std::deque<SessionEvent> pending_events_;  // note_child_exit, kSingle
+  // Synthesized events (note_child_exit) waiting for poll_events.
+  std::deque<SessionEvent> pending_events_;
   View active_{};
 };
 

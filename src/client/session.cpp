@@ -70,6 +70,14 @@ bool Session::supports(std::string_view capability) const noexcept {
   return false;
 }
 
+Status Session::require(const char* capability) const {
+  if (supports(capability)) return Status::ok();
+  return Status(ErrorCode::kUnavailable,
+                strings::format("server (proto %d.%d) does not advertise '%s'",
+                                server_proto_major_, server_proto_minor_,
+                                capability));
+}
+
 void Session::hard_close() {
   control_ = ipc::TcpStream();
   events_ = ipc::TcpStream();
@@ -153,38 +161,17 @@ Result<proto::InfoResponse> Session::info() {
 }
 
 Result<proto::StatsResponse> Session::stats() {
-  if (!supports(proto::kCapStats)) {
-    return Error(ErrorCode::kUnavailable,
-                 strings::format(
-                     "server (proto %d.%d) does not advertise '%s'",
-                     server_proto_major_, server_proto_minor_,
-                     proto::kCapStats));
-  }
   DIONEA_ASSIGN_OR_RETURN(Value response, send(proto::StatsRequest{}));
   return proto::StatsResponse::from_wire(response);
 }
 
 Result<proto::ReplayInfoResponse> Session::replay_info() {
-  if (!supports(proto::kCapReplay)) {
-    return Error(ErrorCode::kUnavailable,
-                 strings::format(
-                     "server (proto %d.%d) does not advertise '%s'",
-                     server_proto_major_, server_proto_minor_,
-                     proto::kCapReplay));
-  }
   DIONEA_ASSIGN_OR_RETURN(Value response, send(proto::ReplayInfoRequest{}));
   return proto::ReplayInfoResponse::from_wire(response);
 }
 
 Result<proto::AnalysisReportResponse> Session::analysis_report(
     bool run_lint, bool run_forklint) {
-  if (!supports(proto::kCapAnalysis)) {
-    return Error(ErrorCode::kUnavailable,
-                 strings::format(
-                     "server (proto %d.%d) does not advertise '%s'",
-                     server_proto_major_, server_proto_minor_,
-                     proto::kCapAnalysis));
-  }
   // 1.6 servers would skip the unknown run_forklint key anyway; not
   // sending it keeps the silent downgrade explicit on our side.
   if (run_forklint && !supports(proto::kCapForksafety)) {
@@ -198,13 +185,6 @@ Result<proto::AnalysisReportResponse> Session::analysis_report(
 }
 
 Result<proto::PostmortemResponse> Session::postmortem(bool capture) {
-  if (!supports(proto::kCapPostmortem)) {
-    return Error(ErrorCode::kUnavailable,
-                 strings::format(
-                     "server (proto %d.%d) does not advertise '%s'",
-                     server_proto_major_, server_proto_minor_,
-                     proto::kCapPostmortem));
-  }
   proto::PostmortemRequest req;
   req.capture = capture;
   DIONEA_ASSIGN_OR_RETURN(Value response, send(req));
@@ -212,13 +192,6 @@ Result<proto::PostmortemResponse> Session::postmortem(bool capture) {
 }
 
 Result<proto::TimetravelInfoResponse> Session::timetravel_info() {
-  if (!supports(proto::kCapTimetravel)) {
-    return Error(ErrorCode::kUnavailable,
-                 strings::format(
-                     "server (proto %d.%d) does not advertise '%s'",
-                     server_proto_major_, server_proto_minor_,
-                     proto::kCapTimetravel));
-  }
   DIONEA_ASSIGN_OR_RETURN(Value response,
                           send(proto::TimetravelInfoRequest{}));
   return proto::TimetravelInfoResponse::from_wire(response);
@@ -226,13 +199,6 @@ Result<proto::TimetravelInfoResponse> Session::timetravel_info() {
 
 Result<proto::TimetravelResumeResponse> Session::timetravel_resume(
     std::int64_t target_step) {
-  if (!supports(proto::kCapTimetravel)) {
-    return Error(ErrorCode::kUnavailable,
-                 strings::format(
-                     "server (proto %d.%d) does not advertise '%s'",
-                     server_proto_major_, server_proto_minor_,
-                     proto::kCapTimetravel));
-  }
   proto::TimetravelResumeRequest req;
   req.target_step = target_step;
   DIONEA_ASSIGN_OR_RETURN(Value response, send(req));

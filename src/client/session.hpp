@@ -200,11 +200,17 @@ class Session {
   Session() = default;
 
   // Send a typed request; returns the full response envelope for the
-  // matching response struct's from_wire.
+  // matching response struct's from_wire. A request that declares a
+  // kCapability fails with kUnavailable, without wire traffic, when
+  // the server does not advertise it.
   template <typename Req>
   Result<ipc::wire::Value> send(const Req& req) {
+    if constexpr (requires { Req::kCapability; }) {
+      DIONEA_RETURN_IF_ERROR(require(Req::kCapability));
+    }
     return request(Req::kName, req.to_wire());
   }
+  Status require(const char* capability) const;
 
   // Receive one user-visible event from the events channel. Heartbeat
   // frames are consumed here (they only refresh `last_activity_`);

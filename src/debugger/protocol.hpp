@@ -39,6 +39,9 @@ namespace dionea::dbg::proto {
 inline constexpr int kProtoMajor = 1;
 inline constexpr int kProtoMinor = 7;
 
+// A request type that needs a capability names it as `kCapability`;
+// the client refuses it locally (kUnavailable, no wire traffic) when
+// the server did not advertise it.
 inline constexpr const char* kCapStats = "stats";      // `stats` command
 inline constexpr const char* kCapHeartbeat = "heartbeat";
 inline constexpr const char* kCapReplay = "replay";    // `replay-info` command
@@ -100,7 +103,7 @@ enum class Event : int {
   // Liveness beacon pushed on the events channel every heartbeat_ms
   // (advertised in the ping/info response). Transport-internal.
   kHeartbeat,     // pid
-  // Synthesized CLIENT-side (MultiClient) when a debuggee goes away:
+  // Synthesized CLIENT-side (client::Client) when a debuggee goes away:
   // process-exited after a clean `terminated`, process-crashed when
   // the connection died without one (SIGKILL, abort, lost peer).
   // Since 1.4 a crashing server also pushes process-crashed itself
@@ -397,6 +400,7 @@ struct DetachRequest {
 
 struct StatsRequest {
   static constexpr const char* kName = "stats";
+  static constexpr const char* kCapability = kCapStats;
   ipc::wire::Value to_wire() const;
   static Result<StatsRequest> from_wire(const ipc::wire::Value& value);
 };
@@ -439,6 +443,7 @@ struct StatsResponse {
 
 struct ReplayInfoRequest {
   static constexpr const char* kName = "replay-info";
+  static constexpr const char* kCapability = kCapReplay;
   ipc::wire::Value to_wire() const;
   static Result<ReplayInfoRequest> from_wire(const ipc::wire::Value& value);
 };
@@ -464,6 +469,7 @@ struct ReplayInfoResponse {
 
 struct AnalysisReportRequest {
   static constexpr const char* kName = "analysis-report";
+  static constexpr const char* kCapability = kCapAnalysis;
   bool run_lint = false;  // re-lint the current program on the server
   // 1.7 (kCapForksafety): run the ForkLint fork-safety dataflow plus
   // the native atfork audit on the server. Old servers skip the key.
@@ -512,6 +518,7 @@ struct AnalysisReportResponse {
 
 struct PostmortemRequest {
   static constexpr const char* kName = "postmortem";
+  static constexpr const char* kCapability = kCapPostmortem;
   // Write a fresh report right now (live snapshot, no crash needed) —
   // what the console's `postmortem` verb uses against a healthy
   // debuggee, and what tests use to exercise the capture path.
@@ -643,6 +650,7 @@ struct TimetravelCheckpoint {
 
 struct TimetravelInfoRequest {
   static constexpr const char* kName = "timetravel-info";
+  static constexpr const char* kCapability = kCapTimetravel;
   ipc::wire::Value to_wire() const;
   static Result<TimetravelInfoRequest> from_wire(const ipc::wire::Value& value);
 };
@@ -668,6 +676,7 @@ struct TimetravelInfoResponse {
 
 struct TimetravelResumeRequest {
   static constexpr const char* kName = "timetravel-resume";
+  static constexpr const char* kCapability = kCapTimetravel;
   std::int64_t target_step = 0;
   ipc::wire::Value to_wire() const;
   static Result<TimetravelResumeRequest> from_wire(

@@ -9,8 +9,8 @@
 // poll(2)-able wakeup through a self-pipe so wait_any() sleeps instead
 // of spinning.
 //
-// Exit observations are meant to be fed to client::MultiClient::
-// note_child_exit so a SIGKILL'd debuggee surfaces as a first-class
+// Exit observations are meant to be fed to client::Client::
+// note_child_exit (direct mode) so a SIGKILL'd debuggee surfaces as a first-class
 // process-crashed event.
 #pragma once
 

@@ -1,16 +1,22 @@
-// Client (discover mode, the MultiClient engine underneath): port-file
+// Client::discover (direct mode over the port file): port-file
 // adoption, 1-client-N-sessions (§4.1), debug view multiplexing (§4.2).
+#include <unistd.h>
+
+#include <map>
+
 #include <gtest/gtest.h>
 
+#include "mp/process.hpp"
 #include "testutil.hpp"
 
 namespace dionea::client {
 namespace {
 
+namespace proto = dbg::proto;
 using test::DebugHarness;
 using test::HarnessOptions;
 
-TEST(MultiClientTest, RefreshOnEmptyFileFindsNothing) {
+TEST(ClientDiscoverTest, RefreshOnEmptyFileFindsNothing) {
   auto tmp = TempDir::create("mc-test");
   ASSERT_TRUE(tmp.is_ok());
   std::unique_ptr<Client> cc = Client::discover(tmp.value().file("ports"));
@@ -23,7 +29,7 @@ TEST(MultiClientTest, RefreshOnEmptyFileFindsNothing) {
   EXPECT_FALSE(cc->hub_mode());
 }
 
-TEST(MultiClientTest, StaleRecordForDeadProcessSkipped) {
+TEST(ClientDiscoverTest, StaleRecordForDeadProcessSkipped) {
   auto tmp = TempDir::create("mc-test");
   ASSERT_TRUE(tmp.is_ok());
   ipc::PortFile file(tmp.value().file("ports"));
@@ -44,7 +50,7 @@ TEST(MultiClientTest, StaleRecordForDeadProcessSkipped) {
 // A record whose first attach fails (another client holds the server,
 // so the attach is refused) stays pending while its process lives, and
 // a later refresh adopts it.
-TEST(MultiClientTest, FailedAttachRetriedWhileProcessLives) {
+TEST(ClientDiscoverTest, FailedAttachRetriedWhileProcessLives) {
   auto tmp = TempDir::create("mc-test");
   ASSERT_TRUE(tmp.is_ok());
   vm::Interp interp;
@@ -70,9 +76,39 @@ TEST(MultiClientTest, FailedAttachRetriedWhileProcessLives) {
   server.stop();
 }
 
+// A record whose port now answers for another pid (the record's
+// process lives on, but its port belongs to another listener) is
+// dropped rather than adopted, and the server behind it is released.
+TEST(ClientDiscoverTest, PortAnsweringForAnotherPidIsNotAdopted) {
+  auto child = mp::Process::spawn([] {
+    ::sleep(30);
+    return 0;
+  });
+  ASSERT_TRUE(child.is_ok()) << child.error().to_string();
+  const int child_pid = static_cast<int>(child.value().pid());
+  auto tmp = TempDir::create("mc-test");
+  ASSERT_TRUE(tmp.is_ok());
+  vm::Interp interp;
+  dbg::DebugServer server(interp.vm(), dbg::DebugServer::Options{});
+  ASSERT_TRUE(server.start().is_ok());
+  ipc::PortFile file(tmp.value().file("ports"));
+  ASSERT_TRUE(file.publish(ipc::PortRecord{child_pid,
+                                           static_cast<int>(::getpid()),
+                                           server.port(), 0}).is_ok());
+  std::unique_ptr<Client> cc = Client::discover(tmp.value().file("ports"));
+  auto added = cc->refresh(2000);
+  ASSERT_TRUE(added.is_ok()) << added.error().to_string();
+  EXPECT_EQ(added.value(), 0);
+  EXPECT_FALSE(cc->handle_for_pid(child_pid).valid());
+  EXPECT_EQ(cc->session_count(), 0u);
+  EXPECT_TRUE(test::poll_until([&] { return !server.client_connected(); }));
+  cc.reset();
+  server.stop();
+}
+
 // reconnect() adopts the pid's re-published record, so the next
 // refresh must not attach it a second time.
-TEST(MultiClientTest, ReconnectThenRefreshDoesNotReadopt) {
+TEST(ClientDiscoverTest, ReconnectThenRefreshDoesNotReadopt) {
   DebugHarness harness("sleep(30)", HarnessOptions{.stop_at_entry = false});
   Session* first = harness.launch();
   first->hard_close();  // the transport dies
@@ -100,7 +136,7 @@ TEST(MultiClientTest, ReconnectThenRefreshDoesNotReadopt) {
   harness.join();
 }
 
-TEST(MultiClientTest, ForkGrowsSessionsToTwo) {
+TEST(ClientDiscoverTest, ForkGrowsSessionsToTwo) {
   DebugHarness harness(
       "pid = fork(fn()\n"
       "  sleep(0.3)\n"
@@ -125,7 +161,7 @@ TEST(MultiClientTest, ForkGrowsSessionsToTwo) {
   harness.join();
 }
 
-TEST(MultiClientTest, ActivateValidatesProcessAndThread) {
+TEST(ClientDiscoverTest, ActivateValidatesProcessAndThread) {
   // Long-lived debuggee: the activations below must not race the
   // program running off the end (request_exit ends it early).
   DebugHarness harness("sleep(30)",
@@ -149,7 +185,7 @@ TEST(MultiClientTest, ActivateValidatesProcessAndThread) {
   harness.join();
 }
 
-TEST(MultiClientTest, ActiveSourceAndFramesFollowView) {
+TEST(ClientDiscoverTest, ActiveSourceAndFramesFollowView) {
   DebugHarness harness(
       "fn f()\n"
       "  sleep(1)\n"
@@ -174,7 +210,7 @@ TEST(MultiClientTest, ActiveSourceAndFramesFollowView) {
   harness.join();
 }
 
-TEST(MultiClientTest, PollEventsAcrossSessions) {
+TEST(ClientDiscoverTest, PollEventsAcrossSessions) {
   DebugHarness harness(
       "pid = fork(fn()\n"
       "  t = spawn(fn() return 1 end)\n"
@@ -209,7 +245,48 @@ TEST(MultiClientTest, PollEventsAcrossSessions) {
   EXPECT_EQ(sessions_with_events.count(harness.handle().id), 1u);
 }
 
-TEST(MultiClientTest, ClaimPreventsHandout) {
+// One poll_events call hands out everything a session has buffered, in
+// arrival order, and each event exactly once.
+TEST(ClientDiscoverTest, PollEventsDrainsEachSessionInOrder) {
+  DebugHarness harness(
+      "t = spawn(fn() return 1 end)\n"
+      "join(t)\n"
+      "t = spawn(fn() return 2 end)\n"
+      "join(t)",
+      HarnessOptions{.stop_at_entry = false});
+  Session* session = harness.launch();
+  harness.join();
+  // Every event was written before the program ended. Read them all
+  // off the wire: waiting for one that never comes queues the others.
+  auto none = session->wait_event("no-such-event", 200);
+  ASSERT_FALSE(none.is_ok());
+  EXPECT_EQ(none.error().code(), ErrorCode::kTimeout);
+  const size_t queued = session->queued_events();
+  ASSERT_GE(queued, 4u);  // start and exit of both spawned threads
+
+  auto events = harness.client().poll_events(0);
+  ASSERT_TRUE(events.is_ok()) << events.error().to_string();
+  ASSERT_EQ(events.value().size(), queued);
+  std::map<std::int64_t, size_t> started;  // tid -> position
+  size_t exits = 0;
+  for (size_t i = 0; i < events.value().size(); ++i) {
+    const Client::SessionEvent& se = events.value()[i];
+    EXPECT_EQ(se.session, harness.handle());
+    std::int64_t tid = se.event.payload.get_int("tid");
+    if (se.event.kind == proto::Event::kThreadStart) {
+      EXPECT_TRUE(started.emplace(tid, i).second) << "tid " << tid;
+    } else if (se.event.kind == proto::Event::kThreadExit) {
+      EXPECT_EQ(started.count(tid), 1u) << "tid " << tid << " exited first";
+      ++exits;
+    }
+  }
+  EXPECT_GE(exits, 2u);
+  auto again = harness.client().poll_events(0);
+  ASSERT_TRUE(again.is_ok()) << again.error().to_string();
+  EXPECT_TRUE(again.value().empty());
+}
+
+TEST(ClientDiscoverTest, ClaimPreventsHandout) {
   auto tmp = TempDir::create("mc-test");
   ASSERT_TRUE(tmp.is_ok());
   std::unique_ptr<Client> cc = Client::discover(tmp.value().file("ports"));
