@@ -91,7 +91,9 @@ Result<int> Client::refresh(int timeout_millis) {
   for (const ipc::PortRecord& record : pending_) {
     // Re-published port (double fork re-binds): replace the session.
     sessions_.erase(record.pid);
-    auto session = Session::attach(record.port, timeout_millis);
+    auto session =
+        Session::attach(record.port, timeout_millis, /*client_token=*/"",
+                        record.pid);
     if (!session.is_ok()) {
       // Retry on the next refresh while the process lives; drop the
       // record once it has exited.
@@ -316,7 +318,7 @@ Result<Session*> Client::redial(SessionHandle handle) {
   }
   DIONEA_ASSIGN_OR_RETURN(
       std::unique_ptr<Session> session,
-      Session::attach(port, /*timeout_millis=*/500, token_));
+      Session::attach(port, /*timeout_millis=*/500, token_, pid));
   if (session->pid() != pid) {
     return Error(ErrorCode::kNotFound,
                  "port " + std::to_string(port) + " answers for pid " +

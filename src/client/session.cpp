@@ -10,7 +10,8 @@ using ipc::wire::Value;
 
 namespace {
 
-proto::Hello local_hello(const char* channel, const std::string& token) {
+proto::Hello local_hello(const char* channel, const std::string& token,
+                         int expect_pid) {
   proto::Hello hello;
   hello.channel = channel;
   hello.pid = 0;  // the client's pid is of no interest to the server
@@ -18,13 +19,15 @@ proto::Hello local_hello(const char* channel, const std::string& token) {
   hello.proto_minor = proto::kProtoMinor;
   hello.capabilities = proto::local_capabilities();
   hello.client_token = token;
+  hello.expect_pid = expect_pid;
   return hello;
 }
 
 }  // namespace
 
 Result<std::unique_ptr<Session>> Session::attach(
-    std::uint16_t port, int timeout_millis, const std::string& client_token) {
+    std::uint16_t port, int timeout_millis, const std::string& client_token,
+    int expect_pid) {
   auto session = std::unique_ptr<Session>(new Session());
   session->port_ = port;
   session->client_token_ = client_token;
@@ -34,14 +37,14 @@ Result<std::unique_ptr<Session>> Session::attach(
   (void)session->control_.set_nodelay(true);
   DIONEA_RETURN_IF_ERROR(ipc::send_frame(
       session->control_,
-      local_hello(proto::kChannelControl, client_token).to_wire()));
+      local_hello(proto::kChannelControl, client_token, expect_pid).to_wire()));
 
   DIONEA_ASSIGN_OR_RETURN(session->events_,
                           ipc::TcpStream::connect_retry(port, timeout_millis));
   (void)session->events_.set_nodelay(true);
   DIONEA_RETURN_IF_ERROR(ipc::send_frame(
       session->events_,
-      local_hello(proto::kChannelEvents, client_token).to_wire()));
+      local_hello(proto::kChannelEvents, client_token, expect_pid).to_wire()));
 
   // First ping doubles as the session handshake: pid discovery plus
   // the server's protocol version, capability list and beacon period

@@ -67,9 +67,12 @@ class Session {
   // control connection with its events sibling; "" (the default, and
   // what pre-1.5 callers pass implicitly) makes a hub fall back to
   // default-session binding. Direct servers ignore it.
+  // `expect_pid` (nonzero) is the pid the caller means to reach; a
+  // server with another pid refuses both hellos (older servers ignore
+  // it, so callers still compare pid() with what they expected).
   static Result<std::unique_ptr<Session>> attach(
       std::uint16_t port, int timeout_millis,
-      const std::string& client_token = "");
+      const std::string& client_token = "", int expect_pid = 0);
 
   int pid() const noexcept { return pid_; }
   std::uint16_t port() const noexcept { return port_; }

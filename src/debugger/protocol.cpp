@@ -116,6 +116,7 @@ Value Hello::to_wire() const {
   v.set("proto_minor", proto_minor);
   v.set("caps", caps_to_wire(capabilities));
   if (!client_token.empty()) v.set("client_token", client_token);
+  if (expect_pid != 0) v.set("expect_pid", expect_pid);
   return v;
 }
 
@@ -132,6 +133,7 @@ Result<Hello> Hello::from_wire(const Value& value) {
   hello.proto_minor = static_cast<int>(value.get_int("proto_minor", 0));
   hello.capabilities = caps_from_wire(value, "caps");
   hello.client_token = value.get_string("client_token");
+  hello.expect_pid = static_cast<int>(value.get_int("expect_pid", 0));
   return hello;
 }
 

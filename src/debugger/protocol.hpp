@@ -146,6 +146,12 @@ struct Hello {
   // older clients — the hub then falls back to default-session
   // binding (the capability-downgrade path).
   std::string client_token;
+  // The pid the sender means to reach (a port-file record's pid); 0 =
+  // any. A server whose pid differs refuses the hello before it claims
+  // anything, so a port reused by another process's listener hands a
+  // stale record's client neither its control slot nor its backlog.
+  // Absent from older peers' hellos, which decode as 0.
+  int expect_pid = 0;
 
   ipc::wire::Value to_wire() const;
   // Lenient by design: a hello without version fields is a pre-1.1

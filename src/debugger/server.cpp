@@ -722,6 +722,18 @@ void DebugServer::handle_new_connection() {
     (void)ipc::send_frame(stream, refusal);
     return;
   }
+  if (hi.expect_pid != 0 && hi.expect_pid != static_cast<int>(::getpid())) {
+    // The client followed a record for another process whose port this
+    // listener now owns: refuse before claiming the control slot or
+    // flushing the backlog, both of which belong to our real client.
+    Value refusal = proto::make_error(
+        0,
+        "hello expects pid " + std::to_string(hi.expect_pid) +
+            ", this server is pid " + std::to_string(::getpid()),
+        proto::kErrBadRequest);
+    (void)ipc::send_frame(stream, refusal);
+    return;
+  }
   if (hi.channel == proto::kChannelControl) {
     std::scoped_lock lock(state_mutex_);
     if (control_.valid()) {

@@ -254,20 +254,27 @@ void Hub::on_pending_readable(const std::shared_ptr<PendingConn>& conn) {
     if (!n.is_ok() || n.value() == 0) drop_pending(conn);
     return;
   }
-  auto frame = conn->reader.recv_timeout(conn->stream, 0);
-  if (!frame.is_ok()) {
-    if (frame.error().code() == ErrorCode::kTimeout) return;  // partial
-    drop_pending(conn);
-    return;
-  }
-  if (conn->stage == 0) {
-    conn->hello = [&] {
-      auto hello = proto::Hello::from_wire(frame.value());
-      return hello.is_ok() ? hello.value() : proto::Hello{};
-    }();
-    handle_hello(conn);
-  } else {
-    finish_register(conn, frame.value());
+  // Drain until kTimeout: fork handler C writes hello + hub-register
+  // back to back, and the reader may hold the request after the fd has
+  // stopped being readable. Each step below either keeps the
+  // connection pending (stage 1) or hands it off, parks it (stage 2)
+  // or closes it, which ends the loop.
+  while (conn->stage < 2 && conn->stream.valid()) {
+    auto frame = conn->reader.recv_timeout(conn->stream, 0);
+    if (!frame.is_ok()) {
+      if (frame.error().code() == ErrorCode::kTimeout) return;  // partial
+      drop_pending(conn);
+      return;
+    }
+    if (conn->stage == 0) {
+      conn->hello = [&] {
+        auto hello = proto::Hello::from_wire(frame.value());
+        return hello.is_ok() ? hello.value() : proto::Hello{};
+      }();
+      handle_hello(conn);
+    } else {
+      finish_register(conn, frame.value());
+    }
   }
 }
 
@@ -372,8 +379,11 @@ void Hub::adopt_control(const std::shared_ptr<PendingConn>& conn) {
     std::lock_guard<std::mutex> lock(pending_mutex_);
     std::erase(pending_conns_, conn);
   }
-  pool_.shard(peer->shard).add_fd(peer->control.raw_fd(),
-                                  [this, peer] { on_peer_control(peer); });
+  ipc::Reactor& shard = pool_.shard(peer->shard);
+  shard.add_fd(peer->control.raw_fd(), [this, peer] { on_peer_control(peer); });
+  // The reader came along with whatever followed the hello in the same
+  // read (a ping, say); no readiness will report it, so look once.
+  shard.post([this, peer] { on_peer_control(peer); });
   if (waiting) pair_events(peer, waiting);
 }
 
@@ -404,6 +414,8 @@ void Hub::adopt_events(const std::shared_ptr<PendingConn>& conn) {
 
 void Hub::pair_events(const std::shared_ptr<ClientPeer>& peer,
                       std::shared_ptr<PendingConn> conn) {
+  // conn->reader is dropped with conn: a client writes nothing on its
+  // events channel after the hello, so the reader holds no frame.
   pool_.shard(0).remove_fd(conn->stream.raw_fd());
   {
     std::lock_guard<std::mutex> lock(pending_mutex_);
@@ -456,6 +468,7 @@ void Hub::dial_back(std::int64_t session_id) {
     hello.channel = channel;
     hello.pid = static_cast<int>(::getpid());
     hello.capabilities = {proto::kCapHub};
+    hello.expect_pid = record.pid;
     DIONEA_RETURN_IF_ERROR(ipc::send_frame(stream.value(), hello.to_wire()));
     return stream;
   };

@@ -31,9 +31,10 @@ class OutboundQueue {
   // if an older frame was evicted to make room. Never blocks.
   bool push(std::string frame);
 
-  // Write as much as the socket accepts without blocking. Returns the
-  // error on a dead socket; ok on success or EAGAIN. `*made_progress`
-  // (optional) reports whether any byte left the queue.
+  // Write as much as the socket accepts without blocking, up to 64
+  // frames per sendmsg(2). Returns the error on a dead socket; ok on
+  // success or EAGAIN. `*made_progress` (optional) reports whether any
+  // byte left the queue.
   Status flush(int fd, bool* made_progress = nullptr);
 
   bool empty() const noexcept { return frames_.empty(); }

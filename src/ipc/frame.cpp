@@ -1,9 +1,11 @@
 #include "ipc/frame.hpp"
 
-#include <cerrno>
+#include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 
 #include "support/fault.hpp"
 #include "support/metrics.hpp"
@@ -12,6 +14,9 @@
 
 namespace dionea::ipc {
 namespace {
+
+// FrameReader's refill size: one read(2) takes up to this much.
+constexpr size_t kReadChunk = 64u << 10;
 
 void put_u32(char* out, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) out[i] = static_cast<char>((v >> (8 * i)) & 0xff);
@@ -157,6 +162,47 @@ Result<wire::Value> recv_frame_timeout(TcpStream& stream, int timeout_millis) {
   return recv_frame_impl(stream, timeout_millis);
 }
 
+FrameReader::FrameReader(FrameReader&& other) noexcept
+    : buf_(std::move(other.buf_)),
+      capacity_(std::exchange(other.capacity_, 0)),
+      begin_(std::exchange(other.begin_, 0)),
+      end_(std::exchange(other.end_, 0)) {}
+
+FrameReader& FrameReader::operator=(FrameReader&& other) noexcept {
+  if (this != &other) {
+    buf_ = std::move(other.buf_);
+    capacity_ = std::exchange(other.capacity_, 0);
+    begin_ = std::exchange(other.begin_, 0);
+    end_ = std::exchange(other.end_, 0);
+  }
+  return *this;
+}
+
+void FrameReader::reset() noexcept {
+  buf_.reset();
+  capacity_ = 0;
+  begin_ = 0;
+  end_ = 0;
+}
+
+void FrameReader::reserve_refill(size_t need) {
+  const size_t held = end_ - begin_;
+  const size_t want = std::max(need, kReadChunk);
+  if (capacity_ >= want) {
+    // Slide the partial frame to the front; at most one frame's bytes.
+    if (begin_ > 0) std::memmove(buf_.get(), buf_.get() + begin_, held);
+  } else {
+    // First refill, or a frame larger than a chunk whose length has
+    // already passed the receive cap.
+    auto bigger = std::make_unique_for_overwrite<char[]>(want);
+    if (held > 0) std::memcpy(bigger.get(), buf_.get() + begin_, held);
+    buf_ = std::move(bigger);
+    capacity_ = want;
+  }
+  begin_ = 0;
+  end_ = held;
+}
+
 Result<wire::Value> FrameReader::recv_timeout(TcpStream& stream,
                                               int timeout_millis) {
   if (fault::Decision f = fault::probe("frame.recv");
@@ -165,30 +211,31 @@ Result<wire::Value> FrameReader::recv_timeout(TcpStream& stream,
   }
   Stopwatch watch;
   while (true) {
-    // Header first, then the length it announces.
-    size_t target = 8;
-    if (pending_.size() >= 8) {
-      std::uint32_t magic = get_u32(pending_.data());
+    const size_t held = end_ - begin_;
+    size_t need = 8;  // header first, then the length it announces
+    if (held >= 8) {
+      const char* frame = buf_.get() + begin_;
+      std::uint32_t magic = get_u32(frame);
       if (magic != kFrameMagic) {
-        pending_.clear();
+        reset();
         return Error(ErrorCode::kProtocol,
                      strings::format("bad frame magic 0x%08x (socket crossed "
                                      "a fork without re-establishment?)",
                                      magic));
       }
-      std::uint32_t len = get_u32(pending_.data() + 4);
+      std::uint32_t len = get_u32(frame + 4);
       if (len > max_recv_frame_bytes()) {
-        pending_.clear();
+        reset();
         return Error(ErrorCode::kProtocol,
                      strings::format("frame length %u exceeds receive limit %u",
                                      len, max_recv_frame_bytes()));
       }
-      target = 8 + len;
-      if (pending_.size() == target) {
-        std::string payload = pending_.substr(8);
-        pending_.clear();
+      need = 8 + static_cast<size_t>(len);
+      if (held >= need) {
+        std::string payload(frame + 8, len);
+        begin_ += need;
         metrics::add(metrics::Counter::kFramesReceived);
-        metrics::add(metrics::Counter::kFrameBytesReceived, target);
+        metrics::add(metrics::Counter::kFrameBytesReceived, 8 + len);
         return wire::Value::decode(payload);
       }
     }
@@ -197,20 +244,21 @@ Result<wire::Value> FrameReader::recv_timeout(TcpStream& stream,
     if (remaining < 0) remaining = 0;
     DIONEA_ASSIGN_OR_RETURN(bool ready, stream.readable(remaining));
     if (!ready) {
-      // The partial frame stays buffered; the next call resumes it.
-      return Error(ErrorCode::kTimeout,
-                   pending_.empty() ? "no frame within timeout"
-                                    : "frame incomplete within timeout");
+      // A partial frame stays buffered; the next call resumes it.
+      if (held == 0) {
+        reset();
+        return Error(ErrorCode::kTimeout, "no frame within timeout");
+      }
+      return Error(ErrorCode::kTimeout, "frame incomplete within timeout");
     }
-    char chunk[4096];
-    size_t want = target - pending_.size();
-    if (want > sizeof(chunk)) want = sizeof(chunk);
-    DIONEA_ASSIGN_OR_RETURN(size_t n, stream.fd().read_some(chunk, want));
+    reserve_refill(need);
+    DIONEA_ASSIGN_OR_RETURN(
+        size_t n, stream.fd().read_some(buf_.get() + end_, capacity_ - end_));
     if (n == 0) {
-      pending_.clear();
+      reset();
       return Error(ErrorCode::kClosed, "EOF on events channel");
     }
-    pending_.append(chunk, n);
+    end_ += n;
   }
 }
 

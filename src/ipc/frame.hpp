@@ -8,7 +8,9 @@
 // kProtocol error instead of silently misparsed commands.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 
 #include "ipc/socket.hpp"
 #include "ipc/wire.hpp"
@@ -43,21 +45,44 @@ Result<wire::Value> recv_frame(TcpStream& stream);
 Result<wire::Value> recv_frame_timeout(TcpStream& stream, int timeout_millis);
 
 // Incremental receiver for a channel that is polled with short
-// timeouts (the events channel). recv_frame_timeout discards whatever
-// it read when it times out, so a frame that arrives slower than one
-// poll interval would desynchronize the stream for good — every later
-// read starts mid-frame and fails the magic check. FrameReader keeps
-// the partial frame buffered across calls instead: a timeout means
-// "not complete yet", never "bytes lost".
+// timeouts (the events channel, the hub's reactor callbacks).
+// recv_frame_timeout discards whatever it read when it times out, so a
+// frame that arrives slower than one poll interval would desynchronize
+// the stream for good — every later read starts mid-frame and fails
+// the magic check. FrameReader keeps received bytes buffered across
+// calls instead: a timeout means "not complete yet", never "bytes
+// lost".
+//
+// It reads in bulk: one read(2) of up to 64 KiB refills the buffer,
+// and complete frames already buffered are returned without touching
+// the socket. Readiness contract: a caller driven by fd readability
+// must keep calling until kTimeout, because whole frames can sit in
+// the buffer after the fd stops being readable.
 class FrameReader {
  public:
+  FrameReader() = default;
+  FrameReader(FrameReader&& other) noexcept;
+  FrameReader& operator=(FrameReader&& other) noexcept;
+  FrameReader(const FrameReader&) = delete;
+  FrameReader& operator=(const FrameReader&) = delete;
+
   Result<wire::Value> recv_timeout(TcpStream& stream, int timeout_millis);
 
-  // Drop any buffered partial frame (call when the stream is replaced).
-  void reset() noexcept { pending_.clear(); }
+  // Drop everything buffered (call when the stream is replaced).
+  void reset() noexcept;
 
  private:
-  std::string pending_;  // raw bytes of the in-flight frame, header first
+  // Move the unconsumed bytes to the front of a buffer that holds at
+  // least `need` bytes (the current frame) and one 64 KiB refill.
+  void reserve_refill(size_t need);
+
+  // buf_[begin_, end_) holds received bytes not yet returned, header
+  // first. An idle reader (drained, then timed out) holds no buffer,
+  // so thousands of quiet channels pin no memory.
+  std::unique_ptr<char[]> buf_;
+  size_t capacity_ = 0;
+  size_t begin_ = 0;
+  size_t end_ = 0;
 };
 
 }  // namespace dionea::ipc

@@ -64,11 +64,16 @@ void Reactor::remove_periodic(int timer_id) {
 }
 
 void Reactor::post(Callback fn) {
+  bool first;
   {
     std::scoped_lock lock(mutex_);
+    first = pending_tasks_.empty();
     pending_tasks_.push_back(std::move(fn));
   }
-  wakeup_.notify();
+  // One wakeup per batch: a non-empty list already has one in flight,
+  // and poll_once takes the whole list under mutex_ before it waits, so
+  // the next post after that swap notifies again.
+  if (first) wakeup_.notify();
 }
 
 void Reactor::stop() {

@@ -23,6 +23,7 @@
 // seen next round).
 #pragma once
 
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -58,7 +59,8 @@ class Reactor {
   int add_periodic(int interval_millis, Callback fn);
   void remove_periodic(int timer_id);
 
-  // Run fn once on the loop thread as soon as possible.
+  // Run fn once on the loop thread as soon as possible. Only the post
+  // that finds the task list empty writes the wakeup.
   void post(Callback fn);
 
   // Block dispatching events until stop(). Returns the status that
@@ -71,7 +73,7 @@ class Reactor {
 
   void stop();
 
-  bool running() const noexcept { return running_; }
+  bool running() const noexcept { return running_.load(); }
   const char* backend_name() const noexcept { return backend_->name(); }
 
  private:
@@ -104,7 +106,7 @@ class Reactor {
   std::vector<int> pending_timer_remove_;                 // guarded by mutex_
   int next_timer_id_ = 1;                                 // guarded by mutex_
   bool stop_requested_ = false;  // guarded by mutex_
-  bool running_ = false;
+  std::atomic<bool> running_{false};  // written by run(), read anywhere
 
   // Loop thread only: scratch for the current dispatch batch.
   std::vector<ReactorBackend::Ready> ready_;

@@ -2,7 +2,9 @@
 // adoption, 1-client-N-sessions (§4.1), debug view multiplexing (§4.2).
 #include <unistd.h>
 
+#include <atomic>
 #include <map>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -77,8 +79,10 @@ TEST(ClientDiscoverTest, FailedAttachRetriedWhileProcessLives) {
 }
 
 // A record whose port now answers for another pid (the record's
-// process lives on, but its port belongs to another listener) is
-// dropped rather than adopted, and the server behind it is released.
+// process lives on, but its port belongs to another listener) is not
+// adopted. The hello names the record's pid, so the server behind the
+// port refuses before it claims its control slot or hands over its
+// backlog: its own client still gets the stop-at-entry event.
 TEST(ClientDiscoverTest, PortAnsweringForAnotherPidIsNotAdopted) {
   auto child = mp::Process::spawn([] {
     ::sleep(30);
@@ -89,21 +93,57 @@ TEST(ClientDiscoverTest, PortAnsweringForAnotherPidIsNotAdopted) {
   auto tmp = TempDir::create("mc-test");
   ASSERT_TRUE(tmp.is_ok());
   vm::Interp interp;
-  dbg::DebugServer server(interp.vm(), dbg::DebugServer::Options{});
+  dbg::DebugServer::Options options;
+  options.stop_at_entry = true;
+  dbg::DebugServer server(interp.vm(), options);
+  const std::string program = "x = 1\n";
+  server.register_source("test.ml", program);
   ASSERT_TRUE(server.start().is_ok());
+  std::thread runner([&] { (void)interp.run_string(program, "test.ml"); });
+  // Parked at entry with no client: the `stopped` event is backlogged.
+  EXPECT_TRUE(test::poll_until([&] {
+    for (const vm::ThreadInfo& info : interp.vm().list_threads()) {
+      if (info.state == vm::ThreadState::kDebugParked) return true;
+    }
+    return false;
+  }));
+  sleep_for_millis(50);  // the event is sent just after the park
+
   ipc::PortFile file(tmp.value().file("ports"));
   ASSERT_TRUE(file.publish(ipc::PortRecord{child_pid,
                                            static_cast<int>(::getpid()),
                                            server.port(), 0}).is_ok());
   std::unique_ptr<Client> cc = Client::discover(tmp.value().file("ports"));
+  std::atomic<bool> refreshing{true};
+  std::atomic<bool> ever_connected{false};
+  std::thread watcher([&] {
+    while (refreshing.load()) {
+      if (server.client_connected()) ever_connected.store(true);
+      std::this_thread::yield();
+    }
+  });
   auto added = cc->refresh(2000);
-  ASSERT_TRUE(added.is_ok()) << added.error().to_string();
-  EXPECT_EQ(added.value(), 0);
+  refreshing.store(false);
+  watcher.join();
+  EXPECT_TRUE(added.is_ok()) << added.error().to_string();
+  EXPECT_EQ(added.value_or(-1), 0);
   EXPECT_FALSE(cc->handle_for_pid(child_pid).valid());
   EXPECT_EQ(cc->session_count(), 0u);
-  EXPECT_TRUE(test::poll_until([&] { return !server.client_connected(); }));
+  EXPECT_FALSE(ever_connected.load());
+  EXPECT_FALSE(server.client_connected());
+
+  // The server's real client attaches next and gets the backlog.
+  auto real = Session::attach(server.port(), 5000, /*client_token=*/"",
+                              static_cast<int>(::getpid()));
+  EXPECT_TRUE(real.is_ok()) << real.error().to_string();
+  if (real.is_ok()) {
+    auto entry = real.value()->wait_stopped(5000);
+    EXPECT_TRUE(entry.is_ok()) << entry.error().to_string();
+    EXPECT_TRUE(real.value()->cont_all().is_ok());
+  }
+  server.stop();  // resumes the debuggee if the client could not
+  runner.join();
   cc.reset();
-  server.stop();
 }
 
 // reconnect() adopts the pid's re-published record, so the next

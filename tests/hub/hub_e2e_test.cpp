@@ -4,6 +4,7 @@
 // token-less 1.4 client completes a full breakpoint session), fork
 // trees whose children auto-register from fork handler C, and a
 // hostile fork storm landing while shards are mid-batch.
+#include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -84,11 +85,29 @@ class HubHarness {
     });
   }
 
+  // On timeout: a named gtest failure, then tear the run down (stop the
+  // server, make the VM exit, kill and reap the forked children) so the
+  // binary finishes in seconds instead of hanging until ctest's limit.
   vm::RunResult join(int timeout_millis = 20'000) {
     Stopwatch watch;
     while (!finished_.load()) {
-      DIONEA_CHECK(watch.elapsed_seconds() * 1000.0 < timeout_millis,
-                   "debuggee did not finish in time");
+      if (watch.elapsed_seconds() * 1000.0 >= timeout_millis) {
+        ADD_FAILURE() << "debuggee did not finish within " << timeout_millis
+                      << " ms";
+        server_->stop();
+        interp_->vm().request_exit(0);
+        // Only this process's fork tree: a parent registers before
+        // its children, so one pass in id order finds every descendant.
+        std::set<int> tree = {static_cast<int>(::getpid())};
+        for (const SessionRecord& record : hub_.registry().snapshot()) {
+          if (record.synthetic || tree.count(record.parent_pid) == 0) continue;
+          tree.insert(record.pid);
+          ::kill(record.pid, SIGKILL);
+          ::waitpid(record.pid, nullptr, 0);  // ECHILD for grandchildren
+        }
+        runner_.join();
+        return vm::RunResult{};  // ok == false
+      }
       sleep_for_millis(5);
     }
     runner_.join();

@@ -2,6 +2,7 @@
 // session discovery through a connected Client, event routing with the
 // session_id envelope, and drop-oldest backpressure against a stalled
 // subscriber.
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <set>
@@ -140,6 +141,71 @@ TEST(HubTest, BacklogReplaysToLateSubscriber) {
       },
       5000);
   EXPECT_TRUE(replayed);
+  hub.stop();
+}
+
+// Two frames in one write(2): the hub's reader gets both in one refill,
+// and the second is no longer announced by fd readability. The hub
+// must still act on it (fork handler C registers exactly this way).
+std::string hello_then(const char* channel, const Value& request) {
+  proto::Hello hello;
+  hello.channel = channel;
+  hello.pid = 4321;
+  auto first = ipc::encode_frame(hello.to_wire());
+  auto second = ipc::encode_frame(request);
+  EXPECT_TRUE(first.is_ok() && second.is_ok());
+  return first.value_or("") + second.value_or("");
+}
+
+TEST(HubTest, AnswersHelloAndRegisterSentInOneWrite) {
+  Hub::Options options;
+  options.dialback_timeout_millis = 100;  // nobody listens behind port 1
+  Hub hub(options);
+  ASSERT_TRUE(hub.start().is_ok());
+  proto::HubRegisterRequest request;
+  request.pid = 4321;
+  request.port = 1;
+  Value frame = request.to_wire();
+  frame.set("cmd", proto::HubRegisterRequest::kName);
+  frame.set("seq", 7);
+  const std::string bytes = hello_then(proto::kChannelHubRegister, frame);
+
+  auto stream = ipc::TcpStream::connect_retry(hub.port(), 3000);
+  ASSERT_TRUE(stream.is_ok());
+  ASSERT_TRUE(stream.value().write_all(bytes.data(), bytes.size()).is_ok());
+  auto reply = ipc::recv_frame_timeout(stream.value(), 3000);
+  ASSERT_TRUE(reply.is_ok()) << reply.error().to_string();
+  EXPECT_TRUE(reply.value().get_bool("ok"));
+  EXPECT_EQ(reply.value().get_int("re"), 7);
+  auto response = proto::HubRegisterResponse::from_wire(reply.value());
+  ASSERT_TRUE(response.is_ok());
+  SessionRecord record;
+  ASSERT_TRUE(hub.registry().find(response.value().session_id, &record));
+  EXPECT_EQ(record.pid, 4321);
+  hub.stop();
+}
+
+TEST(HubTest, AnswersHelloAndPingSentInOneWrite) {
+  Hub hub;
+  ASSERT_TRUE(hub.start().is_ok());
+  Value ping = proto::PingRequest{}.to_wire();
+  ping.set("cmd", proto::PingRequest::kName);
+  ping.set("seq", 3);
+  const std::string bytes = hello_then(proto::kChannelControl, ping);
+
+  auto stream = ipc::TcpStream::connect_retry(hub.port(), 3000);
+  ASSERT_TRUE(stream.is_ok());
+  ASSERT_TRUE(stream.value().write_all(bytes.data(), bytes.size()).is_ok());
+  auto reply = ipc::recv_frame_timeout(stream.value(), 3000);
+  ASSERT_TRUE(reply.is_ok()) << reply.error().to_string();
+  EXPECT_TRUE(reply.value().get_bool("ok"));
+  EXPECT_EQ(reply.value().get_int("re"), 3);
+  auto pong = proto::PingResponse::from_wire(reply.value());
+  ASSERT_TRUE(pong.is_ok());
+  EXPECT_NE(std::find(pong.value().capabilities.begin(),
+                      pong.value().capabilities.end(),
+                      std::string(proto::kCapHub)),
+            pong.value().capabilities.end());
   hub.stop();
 }
 

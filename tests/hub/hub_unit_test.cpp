@@ -94,6 +94,104 @@ TEST(OutboundQueueTest, MidWriteFrameIsNeverEvicted) {
   EXPECT_EQ(got_x, big.size());
 }
 
+// Frames tagged with their index and padded, so a torn, repeated or
+// reordered byte shows up in a plain string comparison.
+std::vector<std::string> numbered_frames(int count, size_t pad) {
+  std::vector<std::string> frames;
+  for (int i = 0; i < count; ++i) {
+    frames.push_back("<" + std::to_string(i) + ":" + std::string(pad, 'p') +
+                     ">");
+  }
+  return frames;
+}
+
+// Flush into `fds[0]` while a reader thread drains `fds[1]`; returns
+// every byte the reader saw once the queue is empty and the writer
+// side is closed.
+std::string flush_all_and_collect(OutboundQueue& q, int fds[2]) {
+  std::string received;
+  std::thread reader([&] {
+    char buf[8192];
+    while (true) {
+      ssize_t n = ::read(fds[1], buf, sizeof(buf));
+      if (n <= 0) break;
+      received.append(buf, static_cast<size_t>(n));
+    }
+  });
+  while (!q.empty()) {
+    EXPECT_TRUE(q.flush(fds[0]).is_ok());
+    if (::testing::Test::HasFailure()) break;
+  }
+  ::close(fds[0]);
+  reader.join();
+  ::close(fds[1]);
+  return received;
+}
+
+TEST(OutboundQueueTest, FlushSendsMoreThanOneBatchInOrder) {
+  // 200 frames need several sendmsg batches of at most 64.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  OutboundQueue q(256);
+  std::string expected;
+  for (const std::string& frame : numbered_frames(200, 16)) {
+    ASSERT_TRUE(q.push(frame));
+    expected += frame;
+  }
+  bool progress = false;
+  ASSERT_TRUE(q.flush(fds[0], &progress).is_ok());
+  EXPECT_TRUE(progress);
+  EXPECT_TRUE(q.empty());  // 200 small frames fit the socket buffer
+  EXPECT_EQ(flush_all_and_collect(q, fds), expected);
+}
+
+TEST(OutboundQueueTest, FullSocketMidBatchResumesAtTheExactByte) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  int small = 4096;
+  ASSERT_EQ(::setsockopt(fds[0], SOL_SOCKET, SO_SNDBUF, &small,
+                         sizeof(small)),
+            0);
+  OutboundQueue q(256);
+  std::string expected;
+  for (const std::string& frame : numbered_frames(150, 700)) {
+    ASSERT_TRUE(q.push(frame));
+    expected += frame;
+  }
+  // Nobody reads yet: the first flush stops when the buffer fills, in
+  // the middle of a batch and (almost surely) of a frame.
+  ASSERT_TRUE(q.flush(fds[0]).is_ok());
+  ASSERT_FALSE(q.empty());
+  EXPECT_LT(q.size(), 150u);
+  EXPECT_EQ(flush_all_and_collect(q, fds), expected);
+  EXPECT_EQ(q.dropped(), 0u);
+}
+
+TEST(OutboundQueueTest, MidWriteFrameSurvivesOverflowAfterBatchedWrite) {
+  // One sendmsg carries "a", "b" and the start of `big`: the batch
+  // retires the two small frames and leaves `big` at the front with
+  // its offset. Overflow pressure must then evict only frames behind it.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  int small = 4096;
+  ASSERT_EQ(::setsockopt(fds[0], SOL_SOCKET, SO_SNDBUF, &small,
+                         sizeof(small)),
+            0);
+  OutboundQueue q(3);
+  std::string big(1 << 20, 'x');
+  ASSERT_TRUE(q.push("a"));
+  ASSERT_TRUE(q.push("b"));
+  ASSERT_TRUE(q.push(big));
+  ASSERT_TRUE(q.flush(fds[0]).is_ok());
+  ASSERT_EQ(q.size(), 1u);  // only `big` is left, partly written
+
+  for (int i = 0; i < 16; ++i) (void)q.push("y" + std::to_string(i));
+  EXPECT_EQ(q.dropped(), 14u);
+  EXPECT_EQ(q.size(), 3u);
+
+  EXPECT_EQ(flush_all_and_collect(q, fds), "ab" + big + "y14y15");
+}
+
 TEST(OutboundQueueTest, FlushReportsPeerGone) {
   int fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);

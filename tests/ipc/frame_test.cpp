@@ -1,5 +1,6 @@
 #include "ipc/frame.hpp"
 
+#include <atomic>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -269,6 +270,135 @@ TEST(FrameTest, ReaderRejectsOversizeLengthAndRecovers) {
   auto next = reader.recv_timeout(pair.server, 2000);
   ASSERT_TRUE(next.is_ok()) << next.error().to_string();
   EXPECT_EQ(next.value().get_string("after"), "storm");
+}
+
+// ---- FrameReader bulk refills ----
+// One read(2) of up to 64 KiB can carry many frames; the reader must
+// hand them out one per call, in order, without losing or repeating
+// any, and a frame cut by a refill must come out whole.
+
+std::string encoded(const wire::Value& value) {
+  auto frame = encode_frame(value);
+  EXPECT_TRUE(frame.is_ok());
+  return frame.is_ok() ? frame.value() : std::string();
+}
+
+TEST(FrameTest, ReaderReturnsEveryFrameOfOneWriteInOrder) {
+  SocketPair pair = make_pair();
+  std::string bytes;
+  for (int i = 0; i < 1000; ++i) {
+    wire::Value message;
+    message.set("seq", i);
+    bytes += encoded(message);
+  }
+  std::thread sender([&] {
+    EXPECT_TRUE(pair.client.write_all(bytes.data(), bytes.size()).is_ok());
+  });
+  FrameReader reader;
+  for (int i = 0; i < 1000; ++i) {
+    auto frame = reader.recv_timeout(pair.server, 2000);
+    ASSERT_TRUE(frame.is_ok()) << "frame " << i << ": "
+                               << frame.error().to_string();
+    ASSERT_EQ(frame.value().get_int("seq", -1), i);
+  }
+  sender.join();
+  auto extra = reader.recv_timeout(pair.server, 20);
+  ASSERT_FALSE(extra.is_ok());
+  EXPECT_EQ(extra.error().code(), ErrorCode::kTimeout);
+}
+
+TEST(FrameTest, ReaderReassemblesFrameAcrossRefillBoundary) {
+  constexpr size_t kChunk = 64u << 10;  // one refill
+  // The first frame ends 50 bytes short of the first refill's end, so
+  // the second frame's header straddles it; the third frame is larger
+  // than a refill.
+  wire::Value first;
+  first.set("pad", std::string());
+  const size_t overhead = encoded(first).size();
+  first.set("pad", std::string(kChunk - 50 - overhead, 'a'));
+  ASSERT_EQ(encoded(first).size(), kChunk - 50);
+  wire::Value second;
+  second.set("pad", std::string(500, 'b'));
+  wire::Value third;
+  third.set("pad", std::string(3 * kChunk, 'c'));
+  const std::string bytes = encoded(first) + encoded(second) + encoded(third);
+
+  SocketPair pair = make_pair();
+  std::atomic<bool> send_rest{false};
+  std::thread sender([&] {
+    // Exactly one refill's worth first: the second frame is cut.
+    EXPECT_TRUE(pair.client.write_all(bytes.data(), kChunk).is_ok());
+    while (!send_rest.load()) sleep_for_millis(1);
+    EXPECT_TRUE(
+        pair.client.write_all(bytes.data() + kChunk, bytes.size() - kChunk)
+            .is_ok());
+  });
+  FrameReader reader;
+  auto got_first = reader.recv_timeout(pair.server, 2000);
+  Result<wire::Value> cut = reader.recv_timeout(pair.server, 50);
+  send_rest.store(true);
+  auto got_second = reader.recv_timeout(pair.server, 2000);
+  auto got_third = reader.recv_timeout(pair.server, 2000);
+  sender.join();
+  ASSERT_TRUE(got_first.is_ok()) << got_first.error().to_string();
+  EXPECT_EQ(got_first.value(), first);
+  ASSERT_FALSE(cut.is_ok());
+  EXPECT_EQ(cut.error().code(), ErrorCode::kTimeout);
+  ASSERT_TRUE(got_second.is_ok()) << got_second.error().to_string();
+  EXPECT_EQ(got_second.value(), second);
+  ASSERT_TRUE(got_third.is_ok()) << got_third.error().to_string();
+  EXPECT_EQ(got_third.value(), third);
+}
+
+TEST(FrameTest, ReaderReturnsBufferedFramesBeforeEof) {
+  SocketPair pair = make_pair();
+  std::string bytes;
+  for (int i = 0; i < 3; ++i) {
+    wire::Value message;
+    message.set("seq", i);
+    bytes += encoded(message);
+  }
+  ASSERT_TRUE(pair.client.write_all(bytes.data(), bytes.size()).is_ok());
+  pair.client.close();
+  FrameReader reader;
+  for (int i = 0; i < 3; ++i) {
+    auto frame = reader.recv_timeout(pair.server, 2000);
+    ASSERT_TRUE(frame.is_ok()) << "frame " << i << ": "
+                               << frame.error().to_string();
+    EXPECT_EQ(frame.value().get_int("seq", -1), i);
+  }
+  auto closed = reader.recv_timeout(pair.server, 2000);
+  ASSERT_FALSE(closed.is_ok());
+  EXPECT_EQ(closed.error().code(), ErrorCode::kClosed);
+}
+
+// A hostile length prefix that arrives in the same read as good frames
+// is still judged on its header alone: kProtocol at once, without
+// waiting for (or making room for) the 4 GiB it claims.
+TEST(FrameTest, ReaderRejectsOversizeLengthBehindBufferedFrames) {
+  SocketPair pair = make_pair();
+  std::string bytes;
+  for (int i = 0; i < 2; ++i) {
+    wire::Value message;
+    message.set("seq", i);
+    bytes += encoded(message);
+  }
+  bytes += std::string("DNEA\xff\xff\xff\xff", 8);
+  ASSERT_TRUE(pair.client.write_all(bytes.data(), bytes.size()).is_ok());
+  FrameReader reader;
+  for (int i = 0; i < 2; ++i) {
+    auto frame = reader.recv_timeout(pair.server, 2000);
+    ASSERT_TRUE(frame.is_ok()) << frame.error().to_string();
+    EXPECT_EQ(frame.value().get_int("seq", -1), i);
+  }
+  Stopwatch watch;
+  auto rejected = reader.recv_timeout(pair.server, 2000);
+  ASSERT_FALSE(rejected.is_ok());
+  EXPECT_EQ(rejected.error().code(), ErrorCode::kProtocol);
+  EXPECT_NE(rejected.error().message().find("receive limit"),
+            std::string::npos)
+      << rejected.error().to_string();
+  EXPECT_LT(watch.elapsed_seconds(), 1.0);
 }
 
 // Default receive cap: exactly kMaxFrameBytes passes the check (it is

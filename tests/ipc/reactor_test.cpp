@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -124,6 +125,80 @@ TEST(ReactorTest, PostFromOtherThreadWakesLoop) {
   EXPECT_LT(watch.elapsed_seconds(), 0.2);
   reactor.stop();
   loop.join();
+}
+
+// post() writes the wakeup only when it finds the task list empty. Two
+// producers racing the loop, plus tasks that post follow-ups from
+// inside the loop, must see every task run exactly once; then single
+// posts into the idle loop must each wake it. The loop waits with no
+// timeout, so a lost wakeup strands its task for good and the
+// deadlines below report it.
+TEST(ReactorTest, EveryPostedTaskRunsOnceUnderConcurrentPosters) {
+  constexpr int kPerThread = 100'000;
+  constexpr int kFollowUpEvery = 100;
+  constexpr int kPingPongs = 1'000;
+  constexpr int kDirect = 2 * kPerThread;
+  constexpr int kTotal = kDirect + kDirect / kFollowUpEvery + kPingPongs;
+  std::vector<std::atomic<int>> runs(kTotal);
+  std::atomic<int> done{0};
+  auto task = [&](int slot) {
+    return [&, slot] {
+      runs[static_cast<size_t>(slot)].fetch_add(1);
+      done.fetch_add(1);
+    };
+  };
+  // Spin until `count` tasks have run; false after 5 s.
+  auto wait_for = [&](int count) {
+    Stopwatch watch;
+    while (done.load() < count) {
+      if (watch.elapsed_seconds() > 5.0) return false;
+      std::this_thread::yield();
+    }
+    return true;
+  };
+
+  Reactor reactor;
+  std::atomic<bool> quit{false};
+  std::thread loop([&] {
+    while (!quit.load()) (void)reactor.poll_once(-1);
+  });
+  auto producer = [&](int base) {
+    for (int i = base; i < base + kPerThread; ++i) {
+      reactor.post([&, i] {
+        task(i)();
+        if (i % kFollowUpEvery == 0) {
+          reactor.post(task(kDirect + i / kFollowUpEvery));
+        }
+      });
+    }
+  };
+  std::thread first(producer, 0);
+  std::thread second(producer, kPerThread);
+  first.join();
+  second.join();
+  const bool burst_ran = wait_for(kTotal - kPingPongs);
+  int stranded = 0;
+  for (int i = 0; burst_ran && i < kPingPongs; ++i) {
+    reactor.post(task(kTotal - kPingPongs + i));
+    if (!wait_for(kTotal - kPingPongs + i + 1)) {
+      stranded = i + 1;
+      break;
+    }
+  }
+  // Nothing may run twice, even after the count was reached.
+  sleep_for_millis(20);
+  quit.store(true);
+  reactor.stop();  // always writes the wakeup: unblocks the wait
+  loop.join();
+  EXPECT_TRUE(burst_ran) << done.load() << " of " << kTotal - kPingPongs
+                         << " burst tasks ran";
+  EXPECT_EQ(stranded, 0) << "single post " << stranded
+                         << " into the idle loop never ran";
+  int wrong = 0;
+  for (const std::atomic<int>& count : runs) {
+    if (count.load() != 1) ++wrong;
+  }
+  EXPECT_EQ(wrong, 0);
 }
 
 }  // namespace
